@@ -13,10 +13,16 @@
 //! * [`Sender::send_dropping_oldest`] — evict the queue head (the
 //!   `drop-oldest` policy), returning the victim so it can be counted
 //!   and reported as a typed [`airguard_obs::ObsEvent`].
+//!
+//! Each side counts its parked threads under the lock, and a push or a
+//! pop calls `notify_one` only when the other side has one parked:
+//! `notify_one` is a futex syscall even when nobody waits, which costs
+//! several uncontended lock round trips. The disconnect paths (the last
+//! sender or the receiver dropping) always `notify_all`.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Shared queue state.
 #[derive(Debug)]
@@ -25,6 +31,10 @@ struct State<T> {
     capacity: usize,
     senders: usize,
     receiver_alive: bool,
+    /// Receivers waiting on `not_empty`.
+    parked_receivers: usize,
+    /// Senders waiting on `not_full`.
+    parked_senders: usize,
 }
 
 #[derive(Debug)]
@@ -80,6 +90,8 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             capacity,
             senders: 1,
             receiver_alive: true,
+            parked_receivers: 0,
+            parked_senders: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -92,14 +104,102 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Acquires the state lock, recovering from a poisoned mutex: a worker
-/// that panicked while holding the lock leaves a structurally intact
-/// queue (all mutations are single `push`/`pop` calls), and the panic
-/// itself is surfaced separately by the thread scope.
-fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, State<T>> {
-    match shared.state.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+/// Waits on `condvar` until woken, or until `deadline` when one is set.
+/// A poisoned lock is recovered like in [`Shared::lock`].
+fn wait<'a, T>(
+    condvar: &Condvar,
+    state: MutexGuard<'a, State<T>>,
+    deadline: Option<Instant>,
+) -> MutexGuard<'a, State<T>> {
+    match deadline {
+        None => condvar.wait(state).unwrap_or_else(PoisonError::into_inner),
+        Some(deadline) => {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            match condvar.wait_timeout(state, timeout) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            }
+        }
+    }
+}
+
+impl<T> Shared<T> {
+    /// Acquires the state lock, recovering from a poisoned mutex: a
+    /// worker that panicked while holding the lock leaves a structurally
+    /// intact queue (all mutations are single `push`/`pop` calls), and
+    /// the panic itself is surfaced separately by the thread scope.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues and wakes a parked receiver. `notify_one` costs a
+    /// syscall even when nobody waits, so it is skipped unless a
+    /// receiver is parked.
+    fn push(&self, state: &mut State<T>, item: T) {
+        state.queue.push_back(item);
+        if state.parked_receivers > 0 {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Dequeues and wakes a parked sender, on the same rule as
+    /// [`Shared::push`].
+    fn pop(&self, state: &mut State<T>) -> Option<T> {
+        let item = state.queue.pop_front()?;
+        if state.parked_senders > 0 {
+            self.not_full.notify_one();
+        }
+        Some(item)
+    }
+
+    /// Blocks until the item fits, the receiver is gone, or `timeout`
+    /// (if any) passes with the queue still full.
+    fn send(&self, item: T, timeout: Option<Duration>) -> Result<(), SendError> {
+        // Set at the first wait; `Some(None)` when `timeout` overflows
+        // the clock, which leaves the wait unbounded.
+        let mut deadline = None;
+        let mut state = self.lock();
+        loop {
+            if !state.receiver_alive {
+                return Err(SendError::Disconnected);
+            }
+            if state.queue.len() < state.capacity {
+                self.push(&mut state, item);
+                return Ok(());
+            }
+            // The clock is read only once the queue is found full.
+            if let Some(timeout) = timeout {
+                let now = Instant::now();
+                let due = *deadline.get_or_insert_with(|| now.checked_add(timeout));
+                if due.is_some_and(|due| now >= due) {
+                    return Err(SendError::Full);
+                }
+            }
+            state.parked_senders += 1;
+            state = wait(&self.not_full, state, deadline.flatten());
+            state.parked_senders -= 1;
+        }
+    }
+
+    /// Blocks for the next item until every sender is gone, or until
+    /// `timeout` (if any) passes with the queue still empty.
+    fn recv(&self, timeout: Option<Duration>) -> RecvTimeout<T> {
+        let deadline = timeout.and_then(|timeout| Instant::now().checked_add(timeout));
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = self.pop(&mut state) {
+                return RecvTimeout::Item(item);
+            }
+            if state.senders == 0 {
+                return RecvTimeout::Disconnected;
+            }
+            if deadline.is_some_and(|due| Instant::now() >= due) {
+                return RecvTimeout::TimedOut;
+            }
+            state.parked_receivers += 1;
+            state = wait(&self.not_empty, state, deadline);
+            state.parked_receivers -= 1;
+        }
     }
 }
 
@@ -107,58 +207,24 @@ impl<T> Sender<T> {
     /// Blocks until the item fits (backpressure), or the receiver is
     /// gone.
     pub fn send(&self, item: T) -> Result<(), SendError> {
-        let mut state = lock(&self.shared);
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError::Disconnected);
-            }
-            if state.queue.len() < state.capacity {
-                state.queue.push_back(item);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = match self.shared.not_full.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        self.shared.send(item, None)
     }
 
     /// Like [`Sender::send`] but gives up after `timeout` with
     /// [`SendError::Full`] — the watchdog's probe for a consumer that
     /// has stopped consuming.
     pub fn send_timeout(&self, item: T, timeout: Duration) -> Result<(), SendError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = lock(&self.shared);
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError::Disconnected);
-            }
-            if state.queue.len() < state.capacity {
-                state.queue.push_back(item);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(SendError::Full);
-            }
-            state = match self.shared.not_full.wait_timeout(state, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        self.shared.send(item, Some(timeout))
     }
 
     /// Enqueues without blocking; [`SendError::Full`] when at capacity.
     pub fn try_send(&self, item: T) -> Result<(), SendError> {
-        let mut state = lock(&self.shared);
+        let mut state = self.shared.lock();
         if !state.receiver_alive {
             return Err(SendError::Disconnected);
         }
         if state.queue.len() < state.capacity {
-            state.queue.push_back(item);
-            self.shared.not_empty.notify_one();
+            self.shared.push(&mut state, item);
             Ok(())
         } else {
             Err(SendError::Full)
@@ -170,7 +236,7 @@ impl<T> Sender<T> {
     /// report the shed — a silent drop is exactly what this crate's
     /// telemetry contract forbids.
     pub fn send_dropping_oldest(&self, item: T) -> Result<Option<T>, SendError> {
-        let mut state = lock(&self.shared);
+        let mut state = self.shared.lock();
         if !state.receiver_alive {
             return Err(SendError::Disconnected);
         }
@@ -179,8 +245,7 @@ impl<T> Sender<T> {
         } else {
             None
         };
-        state.queue.push_back(item);
-        self.shared.not_empty.notify_one();
+        self.shared.push(&mut state, item);
         Ok(evicted)
     }
 
@@ -188,7 +253,7 @@ impl<T> Sender<T> {
     /// recovery; racy by nature, which is fine for a heuristic).
     #[must_use]
     pub fn len(&self) -> usize {
-        lock(&self.shared).queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// Whether the queue is currently empty.
@@ -200,7 +265,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        lock(&self.shared).senders += 1;
+        self.shared.lock().senders += 1;
         Sender {
             shared: Arc::clone(&self.shared),
         }
@@ -209,7 +274,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = lock(&self.shared);
+        let mut state = self.shared.lock();
         state.senders -= 1;
         if state.senders == 0 {
             // Wake a receiver blocked on an empty queue so it can see
@@ -224,50 +289,22 @@ impl<T> Receiver<T> {
     /// the queue is drained (the clean end-of-stream signal).
     #[must_use]
     pub fn recv(&self) -> Option<T> {
-        let mut state = lock(&self.shared);
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = match self.shared.not_empty.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+        match self.shared.recv(None) {
+            RecvTimeout::Item(item) => Some(item),
+            RecvTimeout::Disconnected | RecvTimeout::TimedOut => None,
         }
     }
 
     /// Like [`Receiver::recv`] but gives up after `timeout` — the
     /// checkpoint barrier's guard against a shard that never replies.
     pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = lock(&self.shared);
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return RecvTimeout::Item(item);
-            }
-            if state.senders == 0 {
-                return RecvTimeout::Disconnected;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return RecvTimeout::TimedOut;
-            }
-            state = match self.shared.not_empty.wait_timeout(state, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        self.shared.recv(Some(timeout))
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = lock(&self.shared);
+        let mut state = self.shared.lock();
         state.receiver_alive = false;
         drop(state);
         // Senders blocked on a full queue must observe the disconnect.
@@ -277,8 +314,8 @@ impl<T> Drop for Receiver<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::{bounded, SendError};
-    use std::time::Duration;
+    use super::{bounded, SendError, Shared};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fifo_order_is_preserved() {
@@ -359,6 +396,34 @@ mod tests {
         );
     }
 
+    /// Yields until exactly `receivers` receivers and `senders` senders
+    /// are parked on the channel. Polling the counts, rather than
+    /// sleeping, makes the wake tests below exact: the waker acts only
+    /// once its target is provably asleep.
+    fn await_parked<T>(shared: &Shared<T>, receivers: usize, senders: usize) {
+        loop {
+            let state = shared.lock();
+            if (state.parked_receivers, state.parked_senders) == (receivers, senders) {
+                return;
+            }
+            drop(state);
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn send_wakes_a_parked_recv() {
+        let (tx, rx) = bounded(1);
+        crossbeam::thread::scope(|scope| {
+            let got = scope.spawn(|_| rx.recv());
+            await_parked(&tx.shared, 1, 0);
+            tx.send(5).expect("receiver alive");
+            assert_eq!(got.join().expect("no panic"), Some(5));
+        })
+        .expect("no worker panicked");
+        assert_eq!(tx.shared.lock().parked_receivers, 0);
+    }
+
     #[test]
     fn blocking_send_resumes_when_space_frees() {
         let (tx, rx) = bounded(1);
@@ -368,9 +433,59 @@ mod tests {
                 // Blocks until the main thread drains one item.
                 tx.send(1).expect("receiver alive");
             });
-            std::thread::sleep(Duration::from_millis(10));
+            await_parked(&rx.shared, 0, 1);
             assert_eq!(rx.recv(), Some(0));
             assert_eq!(rx.recv(), Some(1));
+        })
+        .expect("no worker panicked");
+    }
+
+    #[test]
+    fn recv_wakes_a_parked_send_timeout() {
+        let (tx, rx) = bounded(1);
+        tx.send(0).expect("receiver alive");
+        let patience = Duration::from_secs(60);
+        crossbeam::thread::scope(|scope| {
+            let sent = scope.spawn(|_| {
+                let start = Instant::now();
+                (tx.send_timeout(1, patience), start.elapsed())
+            });
+            await_parked(&rx.shared, 0, 1);
+            assert_eq!(rx.recv(), Some(0));
+            let (sent, waited) = sent.join().expect("no panic");
+            assert_eq!(sent, Ok(()));
+            // Woken by the pop: a lost wake would sleep to the deadline
+            // and only then find the free slot.
+            assert!(waited < patience, "woke at its deadline, not on the pop");
+            assert_eq!(rx.recv(), Some(1));
+        })
+        .expect("no worker panicked");
+        assert_eq!(tx.shared.lock().parked_senders, 0);
+    }
+
+    #[test]
+    fn dropping_the_last_sender_wakes_a_parked_recv() {
+        let (tx, rx) = bounded::<i32>(1);
+        let tx2 = tx.clone();
+        crossbeam::thread::scope(|scope| {
+            let got = scope.spawn(|_| rx.recv());
+            await_parked(&rx.shared, 1, 0);
+            drop(tx);
+            drop(tx2);
+            assert_eq!(got.join().expect("no panic"), None);
+        })
+        .expect("no worker panicked");
+    }
+
+    #[test]
+    fn dropping_the_receiver_wakes_a_parked_send() {
+        let (tx, rx) = bounded(1);
+        tx.send(0).expect("receiver alive");
+        crossbeam::thread::scope(|scope| {
+            let sent = scope.spawn(|_| tx.send(1));
+            await_parked(&tx.shared, 0, 1);
+            drop(rx);
+            assert_eq!(sent.join().expect("no panic"), Err(SendError::Disconnected));
         })
         .expect("no worker panicked");
     }

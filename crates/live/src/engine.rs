@@ -443,16 +443,19 @@ impl Feeder<'_> {
     /// `stall_timeout` slices and quarantines the shard if a full
     /// window passes with zero consumer heartbeats.
     fn send_watched(&mut self, shard: usize, obs: StationObservation, stamp: Option<Instant>) {
+        let shard_u32 = u32::try_from(shard).unwrap_or(u32::MAX);
         loop {
-            let Some(sender) = self.senders[shard].clone() else {
-                self.shed(u32::try_from(shard).unwrap_or(u32::MAX), obs.station);
-                return;
+            let sent = match &self.senders[shard] {
+                Some(sender) => {
+                    sender.send_timeout(Msg::Obs(obs, stamp), self.config.stall_timeout)
+                }
+                None => Err(SendError::Disconnected),
             };
-            match sender.send_timeout(Msg::Obs(obs, stamp), self.config.stall_timeout) {
+            match sent {
                 Ok(()) => return,
                 Err(SendError::Disconnected) => {
                     self.senders[shard] = None;
-                    self.shed(u32::try_from(shard).unwrap_or(u32::MAX), obs.station);
+                    self.shed(shard_u32, obs.station);
                     return;
                 }
                 Err(SendError::Full) => {
@@ -461,7 +464,7 @@ impl Feeder<'_> {
                         let stalled_ms =
                             u64::try_from(self.config.stall_timeout.as_millis()).unwrap_or(0);
                         self.quarantine_shard(shard, stalled_ms);
-                        self.shed(u32::try_from(shard).unwrap_or(u32::MAX), obs.station);
+                        self.shed(shard_u32, obs.station);
                         return;
                     }
                     self.last_beat[shard] = beat; // progress; keep waiting
@@ -470,12 +473,15 @@ impl Feeder<'_> {
         }
     }
 
+    /// Routes one observation to its shard under the overflow policy.
+    /// The shard's sender is borrowed, never cloned: a clone and its
+    /// drop each take the queue lock.
     fn route(&mut self, obs: StationObservation) {
         let shard = shard_of(obs.station, self.config.shards) as usize;
         let shard_u32 = u32::try_from(shard).unwrap_or(u32::MAX);
         self.now_us = self.now_us.max(obs.t_us);
         let stamp = self.config.measure_latency.then(Instant::now);
-        let Some(sender) = self.senders[shard].clone() else {
+        let Some(sender) = &self.senders[shard] else {
             self.shed(shard_u32, obs.station);
             return;
         };
@@ -504,12 +510,12 @@ impl Feeder<'_> {
                     if !self.sample_seq[shard].is_multiple_of(u64::from(stride)) {
                         self.sampled_out += 1;
                         self.shed(shard_u32, obs.station);
-                        self.maybe_recover(shard, &sender);
+                        self.maybe_recover(shard);
                         return;
                     }
                 }
                 match sender.try_send(Msg::Obs(obs, stamp)) {
-                    Ok(()) => self.maybe_recover(shard, &sender),
+                    Ok(()) => self.maybe_recover(shard),
                     Err(SendError::Full) => {
                         let doubled = (stride * 2).clamp(2, 64);
                         self.sample_every[shard] = doubled;
@@ -536,8 +542,11 @@ impl Feeder<'_> {
 
     /// Halves the sampling stride once the shard queue has drained to a
     /// quarter of capacity; stride 1 means fully recovered.
-    fn maybe_recover(&mut self, shard: usize, sender: &Sender<Msg>) {
+    fn maybe_recover(&mut self, shard: usize) {
         let stride = self.sample_every[shard];
+        let Some(sender) = &self.senders[shard] else {
+            return;
+        };
         if stride > 1 && sender.len() * 4 <= self.config.queue_capacity.max(1) {
             let halved = (stride / 2).max(1);
             self.sample_every[shard] = halved;
@@ -561,7 +570,7 @@ impl Feeder<'_> {
         let (reply_tx, reply_rx) = bounded::<ShardSnapshot>(shards.max(1));
         let mut expected = 0usize;
         for shard in 0..shards {
-            let Some(sender) = self.senders[shard].clone() else {
+            let Some(sender) = &self.senders[shard] else {
                 continue;
             };
             match sender.send(Msg::Snapshot(reply_tx.clone())) {

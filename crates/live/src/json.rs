@@ -9,6 +9,7 @@
 //! garbage byte on the feed must become a quarantined record, never a
 //! crashed shard.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Maximum nesting depth accepted before a value is rejected: feed
@@ -38,13 +39,9 @@ impl JsonValue {
     /// Parses one complete JSON value; trailing non-whitespace is an
     /// error (a feed line must be exactly one record).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes after value at offset {pos}"));
-        }
+        let mut parser = Parser::new(text);
+        let value = parser.value(0)?;
+        parser.finish()?;
         Ok(value)
     }
 
@@ -81,18 +78,8 @@ impl JsonValue {
     /// promised).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        const EXACT_MAX: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
-            // `n == n.trunc()` is an exact integral test, not a
-            // tolerance question: truncation either returns the same
-            // representation (no fraction) or a different one.
-            #[allow(clippy::float_cmp)]
-            JsonValue::Num(n)
-                if n.is_finite() && *n >= 0.0 && *n <= EXACT_MAX && *n == n.trunc() =>
-            {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -107,187 +94,319 @@ impl JsonValue {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
+/// `n` as an exact non-negative integer, per [`JsonValue::as_u64`].
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    const EXACT_MAX: f64 = 9_007_199_254_740_992.0; // 2^53
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(b) if *b == b'-' || b.is_ascii_digit() => parse_number(bytes, pos),
-        Some(b) => Err(format!(
-            "unexpected byte 0x{b:02x} at offset {pos}",
-            pos = *pos
-        )),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
+    // `n == n.trunc()` is an exact integral test, not a tolerance
+    // question: truncation either returns the same representation (no
+    // fraction) or a different one.
+    #[allow(clippy::float_cmp)]
+    let integral = n == n.trunc();
+    if n.is_finite() && (0.0..=EXACT_MAX).contains(&n) && integral {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        Some(n as u64)
     } else {
-        Err(format!("malformed literal at offset {pos}", pos = *pos))
+        None
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("non-UTF-8 number at offset {start}"))?;
-    match text.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
-        _ => Err(format!("malformed number `{text}` at offset {start}")),
-    }
+/// The start of one value: a scalar read whole, or the opening bracket
+/// of a container whose contents the caller reads next.
+#[derive(Debug)]
+pub(crate) enum Token<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// Borrowed from the input unless the string had escapes.
+    Str(Cow<'a, str>),
+    /// `{` consumed; members follow.
+    Obj,
+    /// `[` consumed; elements follow.
+    Arr,
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+/// A cursor over one JSON text. The container grammar lives in
+/// [`Parser::object`] and [`Parser::array`] alone: [`JsonValue::parse`]
+/// builds a tree through them, and the feed decoder reads a record's
+/// fields through them without building one.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Parser { text, pos: 0 }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Fails unless only whitespace is left.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing bytes after value at offset {}", self.pos))
+        }
+    }
+
+    /// Reads the start of a value nested `depth` containers deep.
+    pub(crate) fn token(&mut self, depth: u32) -> Result<Token<'a>, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::Obj)
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        // Surrogates are rejected rather than paired: the
-                        // workspace's writer never emits them.
-                        let ch = char::from_u32(code)
-                            .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
-                        out.push(ch);
-                        *pos += 4;
-                    }
-                    _ => return Err("bad escape in string".into()),
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::Arr)
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number().map(Token::Num),
+            Some(b) => Err(format!(
+                "unexpected byte 0x{b:02x} at offset {pos}",
+                pos = self.pos
+            )),
+        }
+    }
+
+    /// Builds the value nested `depth` containers deep.
+    fn value(&mut self, depth: u32) -> Result<JsonValue, String> {
+        Ok(match self.token(depth)? {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Num(n) => JsonValue::Num(n),
+            Token::Str(s) => JsonValue::Str(s.into_owned()),
+            Token::Obj => {
+                let mut map = BTreeMap::new();
+                self.object(|parser, key| {
+                    let value = parser.value(depth + 1)?;
+                    map.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                JsonValue::Obj(map)
+            }
+            Token::Arr => {
+                let mut items = Vec::new();
+                self.array(|parser| {
+                    items.push(parser.value(depth + 1)?);
+                    Ok(())
+                })?;
+                JsonValue::Arr(items)
+            }
+        })
+    }
+
+    /// Reads the value nested `depth` containers deep, validating a
+    /// container's contents without keeping them: a container comes
+    /// back as its bare [`Token::Obj`] or [`Token::Arr`].
+    pub(crate) fn scalar(&mut self, depth: u32) -> Result<Token<'a>, String> {
+        let token = self.token(depth)?;
+        self.skip_contents(&token, depth)?;
+        Ok(token)
+    }
+
+    /// After `token` opened a container `depth` deep, validates and
+    /// discards its contents; a scalar token has none.
+    pub(crate) fn skip_contents(&mut self, token: &Token<'a>, depth: u32) -> Result<(), String> {
+        match token {
+            Token::Obj => self.object(|parser, _key| {
+                parser.scalar(depth + 1)?;
+                Ok(())
+            }),
+            Token::Arr => self.array(|parser| {
+                parser.scalar(depth + 1)?;
+                Ok(())
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Walks an object's members after its `{`: `member` gets each key
+    /// and must read that key's value.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(format!("expected object key at offset {}", self.pos));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected `:` at offset {}", self.pos));
+            }
+            self.pos += 1;
+            member(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
                 }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x20 => return Err("raw control byte in string".into()),
-            Some(_) => {
-                // Copy one UTF-8 scalar; invalid UTF-8 is an error.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "non-UTF-8 bytes in string".to_owned())?;
-                let ch = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| "empty string tail".to_owned())?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
             }
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
+    /// Walks an array's elements after its `[`: `element` must read
+    /// one value per call.
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
             }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at offset {pos}", pos = *pos)),
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(map));
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(format!("malformed literal at offset {}", self.pos))
+        }
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}", pos = *pos));
+
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at offset {pos}", pos = *pos));
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
         }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
+        // Every byte scanned is ASCII, so the slice cannot split a
+        // character.
+        let text = self.text.get(start..self.pos).unwrap_or_default();
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(format!("malformed number `{text}` at offset {start}")),
+        }
+    }
+
+    /// Reads a string at its opening quote. Each run of bytes up to the
+    /// next quote, backslash or control byte is copied whole, and a
+    /// string without escapes is borrowed from the input: the text is
+    /// a `&str`, so a run between ASCII delimiters is already valid
+    /// UTF-8 and costs no second validation.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.pos += 1; // opening quote
+        let mut owned: Option<String> = None;
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let Some(len) = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            else {
+                return Err("unterminated string".into());
+            };
+            let run = self
+                .text
+                .get(self.pos..self.pos + len)
+                .ok_or("string run splits a character")?;
+            self.pos += len + 1;
+            match rest[len] {
+                b'"' => {
+                    return Ok(match owned {
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                        None => Cow::Borrowed(run),
+                    })
+                }
+                b'\\' => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    out.push(self.escape()?);
+                }
+                _ => return Err("raw control byte in string".into()),
             }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(map));
-            }
-            _ => return Err(format!("expected `,` or `}}` at offset {pos}", pos = *pos)),
         }
+    }
+
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let bytes = self.text.as_bytes();
+        let ch = match bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                // Surrogates are rejected rather than paired: the
+                // workspace's writer never emits them.
+                let ch = char::from_u32(code)
+                    .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
+                self.pos += 4;
+                ch
+            }
+            _ => return Err("bad escape in string".into()),
+        };
+        self.pos += 1;
+        Ok(ch)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::JsonValue;
+    use super::{JsonValue, Parser, Token};
+    use std::borrow::Cow;
 
     #[test]
     fn parses_a_feed_record() {
@@ -364,6 +483,39 @@ mod tests {
         assert!(JsonValue::parse(&deep).is_err());
         let ok = format!("{}1{}", "[".repeat(8), "]".repeat(8));
         assert!(JsonValue::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_multibyte_runs_next_to_escapes_are_copied_whole() {
+        let run = "λé€😀 plain ".repeat(400);
+        let text = format!("\"{run}\\n{run}\\u00e9\\\"{run}\\\\\"");
+        let v = JsonValue::parse(&text).expect("valid string");
+        let expected = format!("{run}\n{run}é\"{run}\\");
+        assert_eq!(v.as_str(), Some(expected.as_str()));
+        // An escape-free string is borrowed from the input whole.
+        let plain = format!("\"{run}\"");
+        let token = Parser::new(&plain).token(0).expect("valid string");
+        assert!(matches!(token, Token::Str(Cow::Borrowed(s)) if s == run));
+        // Keys take the same path.
+        let obj = JsonValue::parse(&format!("{{\"{run}\\t\":1}}")).expect("valid object");
+        assert_eq!(obj.get(&format!("{run}\t")), Some(&JsonValue::Num(1.0)));
+    }
+
+    #[test]
+    fn control_byte_or_unterminated_string_after_a_long_run_is_an_error() {
+        let run = "λé€😀 plain ".repeat(400);
+        for bad in [
+            format!("\"{run}\u{1}\""),
+            format!("\"{run}\n\""),
+            format!("\"{run}"),
+            format!("\"{run}\\n{run}"),
+            format!("\"{run}\\"),
+            format!("\"{run}\\u00"),
+            format!("{{\"{run}\":\"{run}"),
+            format!("[\"{run}\u{1f}{run}\"]"),
+        ] {
+            assert!(JsonValue::parse(&bad).is_err(), "accepted a bad string");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use airguard_core::{ObservationSource, SourceError, StationObservation};
 use airguard_obs::{EventSink, ObsEvent, NO_NODE};
 
-use crate::json::JsonValue;
+use crate::json::{exact_u64, Parser, Token};
 
 /// Slot counts beyond this are treated as corruption: the modified
 /// protocol caps assignments at `max_assignment` (1023 by default), so
@@ -32,41 +32,86 @@ pub const MAX_SLOTS: f64 = 1_000_000.0;
 /// record is a single JSON line, far below this bound.
 pub const MAX_FRAME: usize = 65_536;
 
-/// Interprets one parsed feed record. `Ok(None)` means the line is
-/// well-formed telemetry of some other kind (skipped, not quarantined).
-fn observation_from_record(value: &JsonValue) -> Result<Option<StationObservation>, String> {
-    let is_backoff = value.get("cat").and_then(JsonValue::as_str) == Some("monitor")
-        && value.get("event").and_then(JsonValue::as_str) == Some("backoff_assigned");
-    if !is_backoff {
-        return Ok(None);
+/// The fields of a feed record the service reads, each holding the
+/// last value its key had: a repeated key keeps the last value, as in
+/// [`crate::json::JsonValue::parse`].
+#[derive(Debug, Default)]
+struct RecordFields<'a> {
+    cat: Option<Token<'a>>,
+    event: Option<Token<'a>>,
+    t_us: Option<Token<'a>>,
+    src: Option<Token<'a>>,
+    assigned_slots: Option<Token<'a>>,
+    observed_slots: Option<Token<'a>>,
+}
+
+impl<'a> RecordFields<'a> {
+    /// Walks one JSON text's top-level fields without building a tree.
+    /// Every value is validated, nested ones included; a text that is
+    /// valid JSON but not an object yields no fields.
+    fn parse(text: &'a str) -> Result<Self, String> {
+        let mut parser = Parser::new(text);
+        let mut fields = RecordFields::default();
+        match parser.token(0)? {
+            Token::Obj => parser.object(|parser, key| {
+                let value = parser.scalar(1)?;
+                let slot = match &*key {
+                    "cat" => &mut fields.cat,
+                    "event" => &mut fields.event,
+                    "t_us" => &mut fields.t_us,
+                    "src" => &mut fields.src,
+                    "assigned_slots" => &mut fields.assigned_slots,
+                    "observed_slots" => &mut fields.observed_slots,
+                    _ => return Ok(()),
+                };
+                *slot = Some(value);
+                Ok(())
+            })?,
+            other => parser.skip_contents(&other, 0)?,
+        }
+        parser.finish()?;
+        Ok(fields)
     }
-    let t_us = value
-        .get("t_us")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing or out-of-range `t_us`")?;
-    let station = value
-        .get("src")
-        .and_then(JsonValue::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or("missing or out-of-range `src`")?;
-    let assigned_slots = value
-        .get("assigned_slots")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing or non-finite `assigned_slots`")?;
-    let observed_slots = value
-        .get("observed_slots")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing or non-finite `observed_slots`")?;
-    if !(0.0..=MAX_SLOTS).contains(&assigned_slots) || !(0.0..=MAX_SLOTS).contains(&observed_slots)
-    {
-        return Err("slot count outside [0, 1e6]".into());
+
+    /// Interprets the record. `Ok(None)` means the line is well-formed
+    /// telemetry of some other kind (skipped, not quarantined).
+    fn observation(self) -> Result<Option<StationObservation>, String> {
+        let string = |field: Option<Token<'a>>| match field {
+            Some(Token::Str(s)) => Some(s),
+            _ => None,
+        };
+        if string(self.cat).as_deref() != Some("monitor")
+            || string(self.event).as_deref() != Some("backoff_assigned")
+        {
+            return Ok(None);
+        }
+        let number = |field: Option<Token<'a>>| match field {
+            Some(Token::Num(n)) => Some(n),
+            _ => None,
+        };
+        let t_us = number(self.t_us)
+            .and_then(exact_u64)
+            .ok_or("missing or out-of-range `t_us`")?;
+        let station = number(self.src)
+            .and_then(exact_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or("missing or out-of-range `src`")?;
+        let assigned_slots =
+            number(self.assigned_slots).ok_or("missing or non-finite `assigned_slots`")?;
+        let observed_slots =
+            number(self.observed_slots).ok_or("missing or non-finite `observed_slots`")?;
+        if !(0.0..=MAX_SLOTS).contains(&assigned_slots)
+            || !(0.0..=MAX_SLOTS).contains(&observed_slots)
+        {
+            return Err("slot count outside [0, 1e6]".into());
+        }
+        Ok(Some(StationObservation {
+            t_us,
+            station,
+            assigned_slots,
+            observed_slots,
+        }))
     }
-    Ok(Some(StationObservation {
-        t_us,
-        station,
-        assigned_slots,
-        observed_slots,
-    }))
 }
 
 /// Decodes one JSONL line (without trailing newline) into an
@@ -77,9 +122,10 @@ fn decode_line(bytes: &[u8]) -> Result<Option<StationObservation>, SourceError> 
     if text.trim().is_empty() {
         return Ok(None);
     }
-    let value = JsonValue::parse(text.trim_end())
-        .map_err(|e| SourceError::Malformed(format!("malformed record: {e}")))?;
-    observation_from_record(&value).map_err(SourceError::Malformed)
+    RecordFields::parse(text.trim_end())
+        .map_err(|e| SourceError::Malformed(format!("malformed record: {e}")))?
+        .observation()
+        .map_err(SourceError::Malformed)
 }
 
 /// Replays observations from a JSONL byte stream (file, socket, or any
@@ -393,9 +439,383 @@ impl ObservationSource for SupervisedSource {
 
 #[cfg(test)]
 mod tests {
-    use super::{FrameSource, JsonlSource, SupervisedSource};
-    use airguard_core::{ObservationSource, SourceError};
+    use super::{decode_line, FrameSource, JsonlSource, SupervisedSource, MAX_SLOTS};
+    use crate::json::JsonValue;
+    use airguard_core::{ObservationSource, SourceError, StationObservation};
     use airguard_obs::{Category, EventSink};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Interprets one parsed feed record: the tree-based reference the
+    /// field walk in [`decode_line`] must agree with.
+    fn observation_from_record(value: &JsonValue) -> Result<Option<StationObservation>, String> {
+        let is_backoff = value.get("cat").and_then(JsonValue::as_str) == Some("monitor")
+            && value.get("event").and_then(JsonValue::as_str) == Some("backoff_assigned");
+        if !is_backoff {
+            return Ok(None);
+        }
+        let t_us = value
+            .get("t_us")
+            .and_then(JsonValue::as_u64)
+            .ok_or("missing or out-of-range `t_us`")?;
+        let station = value
+            .get("src")
+            .and_then(JsonValue::as_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or("missing or out-of-range `src`")?;
+        let assigned_slots = value
+            .get("assigned_slots")
+            .and_then(JsonValue::as_f64)
+            .ok_or("missing or non-finite `assigned_slots`")?;
+        let observed_slots = value
+            .get("observed_slots")
+            .and_then(JsonValue::as_f64)
+            .ok_or("missing or non-finite `observed_slots`")?;
+        if !(0.0..=MAX_SLOTS).contains(&assigned_slots)
+            || !(0.0..=MAX_SLOTS).contains(&observed_slots)
+        {
+            return Err("slot count outside [0, 1e6]".into());
+        }
+        Ok(Some(StationObservation {
+            t_us,
+            station,
+            assigned_slots,
+            observed_slots,
+        }))
+    }
+
+    /// The reference line decode: a whole [`JsonValue`] tree, then
+    /// [`observation_from_record`].
+    fn reference_decode(bytes: &[u8]) -> Result<Option<StationObservation>, SourceError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| SourceError::Malformed("non-UTF-8 feed line".into()))?;
+        if text.trim().is_empty() {
+            return Ok(None);
+        }
+        let value = JsonValue::parse(text.trim_end())
+            .map_err(|e| SourceError::Malformed(format!("malformed record: {e}")))?;
+        observation_from_record(&value).map_err(SourceError::Malformed)
+    }
+
+    /// A decode's class, with the observation's floats as bits so that
+    /// "equal" means bit-identical.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Decoded {
+        Skip,
+        Observation(u64, u32, u64, u64),
+        Malformed(String),
+        Transport(String),
+    }
+
+    fn classify(result: Result<Option<StationObservation>, SourceError>) -> Decoded {
+        match result {
+            Ok(None) => Decoded::Skip,
+            Ok(Some(obs)) => Decoded::Observation(
+                obs.t_us,
+                obs.station,
+                obs.assigned_slots.to_bits(),
+                obs.observed_slots.to_bits(),
+            ),
+            Err(SourceError::Malformed(m)) => Decoded::Malformed(m),
+            Err(SourceError::Transport(m)) => Decoded::Transport(m),
+        }
+    }
+
+    /// Decodes `line` both ways, asserts they agree, and returns the
+    /// class.
+    fn agree(line: &[u8]) -> Decoded {
+        let decoded = classify(decode_line(line));
+        assert_eq!(
+            decoded,
+            classify(reference_decode(line)),
+            "decodes disagree on {:?}",
+            String::from_utf8_lossy(line)
+        );
+        decoded
+    }
+
+    const CANONICAL: &str = r#"{"t_us":1250,"node":0,"cat":"monitor","event":"backoff_assigned","src":3,"assigned_slots":14.5,"observed_slots":2,"xid":77}"#;
+
+    #[test]
+    fn field_walk_matches_the_tree_decode_on_hand_cases() {
+        let observation = |t_us: u64, station: u32, assigned: f64, observed: f64| {
+            Decoded::Observation(t_us, station, assigned.to_bits(), observed.to_bits())
+        };
+        let canonical = observation(1250, 3, 14.5, 2.0);
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let cases: Vec<(Vec<u8>, Option<Decoded>)> = vec![
+            (CANONICAL.into(), Some(canonical.clone())),
+            (format!("{CANONICAL}\n").into(), Some(canonical.clone())),
+            (format!("{CANONICAL}\r\n").into(), Some(canonical.clone())),
+            (format!("{CANONICAL}\r").into(), Some(canonical.clone())),
+            // Duplicate keys, both orders: the last value wins.
+            (
+                CANONICAL
+                    .replace(r#""cat":"monitor""#, r#""cat":"mac","cat":"monitor""#)
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""cat":"monitor""#, r#""cat":"monitor","cat":"mac""#)
+                    .into(),
+                Some(Decoded::Skip),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""t_us":1250"#, r#""t_us":-1,"t_us":7"#)
+                    .into(),
+                Some(observation(7, 3, 14.5, 2.0)),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""t_us":1250"#, r#""t_us":7,"t_us":-1"#)
+                    .into(),
+                None,
+            ),
+            (
+                CANONICAL
+                    .replace(r#""src":3"#, r#""src":3,"src":"3""#)
+                    .into(),
+                None,
+            ),
+            (
+                format!(
+                    r#"{},"observed_slots":9}}"#,
+                    &CANONICAL[..CANONICAL.len() - 1]
+                )
+                .into(),
+                Some(observation(1250, 3, 14.5, 9.0)),
+            ),
+            // Escaped keys and values.
+            (
+                CANONICAL
+                    .replace(r#""t_us""#, r#""t\u005fus""#)
+                    .replace(r#""monitor""#, r#""mon\u0069tor""#)
+                    .replace(r#""src""#, r#""\u0073rc""#)
+                    .replace(r#""backoff_assigned""#, r#""backoff\u005Fassigned""#)
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""monitor""#, r#""monitor\u0000""#)
+                    .into(),
+                Some(Decoded::Skip),
+            ),
+            (
+                CANONICAL.replace(r#""monitor""#, r#""mon\/itor""#).into(),
+                Some(Decoded::Skip),
+            ),
+            (
+                CANONICAL.replace(r#""monitor""#, r#""\ud800""#).into(),
+                None,
+            ),
+            (
+                CANONICAL.replace(r#""monitor""#, r#""\u+06d""#).into(),
+                Some(Decoded::Skip),
+            ),
+            // Top-level values that are not objects.
+            (b"[1,2,3]".to_vec(), Some(Decoded::Skip)),
+            (format!("[{CANONICAL}]").into(), Some(Decoded::Skip)),
+            (b"42".to_vec(), Some(Decoded::Skip)),
+            (b"-1.5e3 ".to_vec(), Some(Decoded::Skip)),
+            (br#""monitor""#.to_vec(), Some(Decoded::Skip)),
+            (b"true".to_vec(), Some(Decoded::Skip)),
+            (b"null\n".to_vec(), Some(Decoded::Skip)),
+            (b"{}".to_vec(), Some(Decoded::Skip)),
+            (b"[1,]".to_vec(), None),
+            (b"[1".to_vec(), None),
+            (b"1 2".to_vec(), None),
+            // Nested values in other fields are validated, never read.
+            (
+                CANONICAL
+                    .replace(r#""xid":77"#, r#""xid":[1,{"a":[true,null,"\u00e9"]},[]]"#)
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""node":0"#, r#""node":{"cat":"mac","src":9}"#)
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (
+                CANONICAL.replace(r#""xid":77"#, r#""xid":[1,]"#).into(),
+                None,
+            ),
+            (
+                CANONICAL.replace(r#""xid":77"#, r#""xid":{"a":1,}"#).into(),
+                None,
+            ),
+            (
+                CANONICAL.replace(r#""xid":77"#, r#""xid":{"a" 1}"#).into(),
+                None,
+            ),
+            (
+                CANONICAL.replace(r#""xid":77"#, r#""xid":[1e999]"#).into(),
+                None,
+            ),
+            (
+                CANONICAL.replace(r#""xid":77"#, r#""xid":"\q""#).into(),
+                None,
+            ),
+            (
+                CANONICAL
+                    .replace(r#""xid":77"#, &format!(r#""xid":{}"#, deep(31)))
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (
+                CANONICAL
+                    .replace(r#""xid":77"#, &format!(r#""xid":{}"#, deep(32)))
+                    .into(),
+                None,
+            ),
+            (
+                CANONICAL
+                    .replace(r#""t_us":1250"#, r#""t_us":[1250]"#)
+                    .into(),
+                None,
+            ),
+            (
+                CANONICAL
+                    .replace(r#""cat":"monitor""#, r#""cat":{"monitor":1}"#)
+                    .into(),
+                Some(Decoded::Skip),
+            ),
+            // Whitespace around every token.
+            (
+                CANONICAL
+                    .replace(':', " \t: \r")
+                    .replace(',', "\t ,\n ")
+                    .replace('{', " {\t")
+                    .replace('}', "\r } \t")
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            (format!("{CANONICAL}\u{a0}").into(), Some(canonical.clone())),
+            (format!("{CANONICAL}\u{b}").into(), Some(canonical.clone())),
+            (format!("\u{a0}{CANONICAL}").into(), None),
+            (CANONICAL.replace(',', "\u{b},").into(), None),
+            (b"".to_vec(), Some(Decoded::Skip)),
+            (b" \t\r\n".to_vec(), Some(Decoded::Skip)),
+            ("\u{2003}\u{a0}".into(), Some(Decoded::Skip)),
+            // Non-UTF-8 bytes and raw control bytes.
+            ([CANONICAL.as_bytes(), b"\xff"].concat(), None),
+            (CANONICAL.replace("monitor", "mon\u{1}tor").into(), None),
+            (CANONICAL.replace("monitor", "mon\ttor").into(), None),
+            (
+                CANONICAL
+                    .replace(r#""xid":77"#, "\"xid\":\"\u{7f}\"")
+                    .into(),
+                Some(canonical.clone()),
+            ),
+            // Numbers at the edges of each field's range.
+            (
+                CANONICAL.replace("1250", "1.25e3").into(),
+                Some(canonical.clone()),
+            ),
+            (CANONICAL.replace("1250", "1250.5").into(), None),
+            (CANONICAL.replace("1250", "9007199254740994").into(), None),
+            (
+                CANONICAL
+                    .replace(r#""src":3"#, r#""src":4294967296"#)
+                    .into(),
+                None,
+            ),
+            (
+                CANONICAL
+                    .replace(r#""src":3"#, r#""src":4294967295"#)
+                    .into(),
+                Some(observation(1250, u32::MAX, 14.5, 2.0)),
+            ),
+            (
+                CANONICAL.replace("14.5", "1e6").into(),
+                Some(observation(1250, 3, 1e6, 2.0)),
+            ),
+            (CANONICAL.replace("14.5", "1000000.0001").into(), None),
+            (
+                CANONICAL.replace("14.5", "-0").into(),
+                Some(observation(1250, 3, -0.0, 2.0)),
+            ),
+            (CANONICAL.replace("14.5", "-0.1").into(), None),
+            (
+                CANONICAL.replace("14.5", "01.50").into(),
+                Some(observation(1250, 3, 1.5, 2.0)),
+            ),
+            (
+                CANONICAL.replace("14.5", "1.").into(),
+                Some(observation(1250, 3, 1.0, 2.0)),
+            ),
+            (CANONICAL.replace("14.5", "1-2").into(), None),
+            (CANONICAL.replace(r#","observed_slots":2"#, "").into(), None),
+            (
+                CANONICAL
+                    .replace(r#""event":"backoff_assigned","#, "")
+                    .into(),
+                Some(Decoded::Skip),
+            ),
+        ];
+        for (line, expected) in cases {
+            let decoded = agree(&line);
+            match expected {
+                Some(expected) => {
+                    assert_eq!(decoded, expected, "{:?}", String::from_utf8_lossy(&line));
+                }
+                None => assert!(
+                    matches!(decoded, Decoded::Malformed(_)),
+                    "{:?} decoded as {decoded:?}",
+                    String::from_utf8_lossy(&line)
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn field_walk_matches_the_tree_decode_on_seeded_mutations() {
+        const MUTANTS: u32 = 120_000;
+        const ALPHABET: &[u8] = b"{}[]:,\"\\ \t\r\n0123456789.-+eEtrufalsnu/bx_\x00\x01\x0b\x1f\x7f\xc3\xa9\xce\xbb\xff";
+        let nested = CANONICAL.replace(
+            r#""xid":77"#,
+            r#""xid":[1,{"k":"v\n"},null,true],"n\u006fde":{"cat":"mac"}"#,
+        );
+        let bases = [CANONICAL.as_bytes(), nested.as_bytes()];
+        let mut rng = StdRng::seed_from_u64(0x5eed_f1e1d);
+        let (mut skips, mut observations, mut malformed) = (0u32, 0u32, 0u32);
+        let mut line = Vec::new();
+        for i in 0..MUTANTS {
+            line.clear();
+            line.extend_from_slice(bases[i as usize % bases.len()]);
+            for _ in 0..rng.random_range(1..=3u32) {
+                let byte = ALPHABET[rng.random_range(0..ALPHABET.len())];
+                let at = rng.random_range(0..=line.len());
+                match rng.random_range(0..3u32) {
+                    0 => line.insert(at, byte),
+                    1 if at < line.len() => {
+                        line.remove(at);
+                    }
+                    _ if at < line.len() => line[at] = byte,
+                    _ => line.push(byte),
+                }
+            }
+            match agree(&line) {
+                Decoded::Skip => skips += 1,
+                Decoded::Observation(..) => observations += 1,
+                Decoded::Malformed(_) => malformed += 1,
+                Decoded::Transport(m) => panic!("decode reported a transport error: {m}"),
+            }
+        }
+        // Every class is well represented, so the agreement is not
+        // vacuous.
+        for (class, count) in [
+            ("skip", skips),
+            ("observation", observations),
+            ("malformed", malformed),
+        ] {
+            assert!(count > MUTANTS / 100, "only {count} {class} mutants");
+        }
+    }
 
     fn record(t_us: u64, src: u32, assigned: f64, observed: f64) -> String {
         format!(
