@@ -16,12 +16,15 @@
 //! change changes the digest, so stale entries are never *read* — they
 //! are simply left behind.
 //!
-//! Writes go through a temp file + rename so a concurrent reader never
-//! observes a torn cell; a malformed or truncated cell parses as a miss
-//! and is re-simulated.
+//! Writes go through [`atomic_write`] (a uniquely named temp file,
+//! fsync, rename), so a concurrent reader never observes a torn cell and
+//! two writers of one cell never collide; a malformed or truncated cell
+//! parses as a miss and is re-simulated.
 
 use std::io;
 use std::path::{Path, PathBuf};
+
+use airguard_obs::atomic_write;
 
 use crate::cell::CellMetrics;
 
@@ -67,7 +70,7 @@ impl ResultCache {
         (cell.seed == seed).then_some(cell)
     }
 
-    /// Stores a cell atomically (temp file + rename).
+    /// Stores a cell atomically through [`atomic_write`].
     ///
     /// # Errors
     ///
@@ -75,13 +78,7 @@ impl ResultCache {
     /// carries on — a failed store only costs a future re-simulation.
     pub fn store(&self, digest: &str, seed: u64, cell: &CellMetrics) -> io::Result<PathBuf> {
         let path = self.cell_path(digest, seed);
-        let dir = path.parent().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "cell path has no parent")
-        })?;
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{seed}.cell.tmp"));
-        std::fs::write(&tmp, cell.to_cache_text())?;
-        std::fs::rename(&tmp, &path)?;
+        atomic_write(&path, cell.to_cache_text().as_bytes())?;
         Ok(path)
     }
 }
@@ -130,6 +127,25 @@ mod tests {
         let path = cache.cell_path("d1", 5);
         std::fs::write(&path, "airguard-cell v1\nseed 5\n").expect("truncate");
         assert!(cache.load("d1", 5).is_none());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_cell_all_succeed() {
+        // Two writers of one cell must never share a temp file, or one
+        // writer's rename finds it already renamed away by the other.
+        let cache = ResultCache::new(tmp_root("race"));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..500 {
+                        cache.store("d1", 7, &cell(7)).expect("store");
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.load("d1", 7).expect("hit"), cell(7));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The engine: flattens an [`Experiment`]'s grid into one `(point,
 //! seed)` work queue, probes the result cache and sweep manifest, runs
-//! the misses on the work-stealing executor, stores fresh cells back,
+//! the misses on the shared task pool, stores fresh cells back,
 //! and re-assembles everything in deterministic point-major,
 //! seed-ordered layout.
 //!
@@ -22,11 +22,13 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use airguard_net::{RunBudget, RunReport, ScenarioConfig};
-use airguard_obs::{aggregate_summaries, PhaseProfiler, Progress, ProgressSnapshot, RunSummary};
+use airguard_obs::{
+    aggregate_summaries, panic_message, run_tasks, PhaseProfiler, Progress, ProgressSnapshot,
+    RunSummary,
+};
 
 use crate::cache::ResultCache;
 use crate::cell::CellMetrics;
-use crate::executor::{panic_message, run_tasks};
 use crate::manifest::SweepManifest;
 use crate::sweep::{Experiment, ExperimentResult, PointResult, Rendered};
 
@@ -300,7 +302,7 @@ pub fn run_experiment_with(
     };
 
     // Cache/manifest probe: resolved cells keep their slot; misses go
-    // to the executor. Known-failed cells are re-reported, not re-run
+    // to the pool. Known-failed cells are re-reported, not re-run
     // (a permanently hung cell must not hang the resumed sweep).
     let mut outcomes: Vec<Option<Result<CellMetrics, String>>> = vec![None; tasks.len()];
     let mut miss_indices: Vec<usize> = Vec::new();
@@ -328,8 +330,8 @@ pub fn run_experiment_with(
     // Fresh cells are cached and journaled the moment they land, so a
     // killed sweep loses at most the cells still in flight.
     let store_warnings: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let fresh = run_tasks(miss_indices.len(), opts.effective_workers(), |k| {
-        let (p, seed) = tasks[miss_indices[k]];
+    let fresh = run_tasks(&miss_indices, opts.effective_workers(), |&i| {
+        let (p, seed) = tasks[i];
         let (result, attempts) = run_cell_with_retries(runner, &configs[p], seed, opts.retries);
         match &result {
             Ok(cell) => {
@@ -360,7 +362,7 @@ pub fn run_experiment_with(
         warnings.append(&mut w);
     }
     for (k, result) in fresh.into_iter().enumerate() {
-        // Flatten the executor's own failure layer (lost worker) into
+        // Flatten the pool's own failure layer (lost worker) into
         // the cell's verdict.
         outcomes[miss_indices[k]] = Some(result.unwrap_or_else(Err));
     }
@@ -430,7 +432,7 @@ fn report_lines(exp_name: &str, result: &ExperimentResult) -> Vec<String> {
     lines
 }
 
-/// Runs one configuration once per seed through the engine's executor,
+/// Runs one configuration once per seed through the engine's task pool,
 /// returning the full reports in seed order — the replacement for the
 /// old chunked `bench::run_seeds` and serial
 /// `ScenarioConfig::run_seeds`.
@@ -449,7 +451,7 @@ pub fn run_seeds(
     } else {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     };
-    let results = run_tasks(seeds.len(), workers, |i| cfg.clone().seed(seeds[i]).run());
+    let results = run_tasks(seeds, workers, |&seed| cfg.clone().seed(seed).run());
     let mut reports = Vec::with_capacity(seeds.len());
     for (i, r) in results.into_iter().enumerate() {
         match r {

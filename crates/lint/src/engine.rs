@@ -1,11 +1,9 @@
 //! The two-pass lint engine.
 //!
 //! Pass 1 analyzes every file independently (lex, item parse, per-file
-//! rules, allow scan) — embarrassingly parallel, so a worker pool pulls
-//! file indices off an atomic cursor and writes each summary into its
-//! slot. Slotting by index, not completion order, makes the report
-//! byte-identical at any worker count. Unchanged files are served from
-//! the [`crate::cache`] instead of being re-analyzed.
+//! rules, allow scan), one file at a time in path order. The whole
+//! workspace takes tens of milliseconds on one core, so neither a
+//! worker pool nor an on-disk cache pays for itself.
 //!
 //! Pass 2 is cheap and sequential: the summaries form a
 //! [`WorkspaceIndex`], the cross-file rules run over it, and allow
@@ -13,155 +11,33 @@
 //! unused-allow detection possible, since by then every rule has had its
 //! chance to consume each directive.
 
-use crate::cache::{fnv1a_hex, Cache};
 use crate::config::LintConfig;
 use crate::diagnostics::Diagnostic;
 use crate::index::{FileSummary, WorkspaceIndex};
 use crate::{allow, items, lexer, rules, xrules, FileClass};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::path::Path;
 
-/// How the incremental cache participates in a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No reads, no writes (fixture trees, tests).
-    Disabled,
-    /// Normal operation: read hits, write misses.
-    Enabled,
-    /// Purge first, then rebuild everything (`--fix-cache`).
-    Rebuild,
-}
-
-/// Engine knobs, all CLI-settable.
-#[derive(Debug, Clone)]
-pub struct EngineOptions {
-    /// Pass-1 worker threads; 1 means fully sequential.
-    pub workers: usize,
-    pub cache: CacheMode,
-    /// Override for the cache directory (defaults to
-    /// `<root>/target/lint-cache/v1`).
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            workers: 1,
-            cache: CacheMode::Disabled,
-            cache_dir: None,
-        }
-    }
-}
-
-/// The outcome of a run: the final diagnostics plus cache statistics.
+/// The outcome of a run.
 #[derive(Debug)]
 pub struct LintReport {
     /// Sorted, deduplicated, allow-filtered diagnostics.
     pub diagnostics: Vec<Diagnostic>,
-    pub files_total: usize,
-    /// Files analyzed from source this run.
+    /// Files analyzed (every `.rs` file the walk kept).
     pub files_analyzed: usize,
-    /// Files served from the incremental cache.
-    pub files_cached: usize,
 }
 
 /// Runs both passes over the workspace at `root`.
-pub fn run(root: &Path, cfg: &LintConfig, opts: &EngineOptions) -> std::io::Result<LintReport> {
+pub fn run(root: &Path, cfg: &LintConfig) -> std::io::Result<LintReport> {
     let mut files = Vec::new();
     crate::collect_rs_files(root, root, cfg, &mut files)?;
     files.sort();
 
-    let cache = match opts.cache {
-        CacheMode::Disabled => None,
-        mode => {
-            let dir = opts
-                .cache_dir
-                .clone()
-                .unwrap_or_else(|| crate::cache::default_dir(root));
-            let cache = Cache::new(dir, cfg);
-            if mode == CacheMode::Rebuild {
-                cache.purge();
-            }
-            Some(cache)
-        }
-    };
-
-    // Pass 1: per-file summaries, slotted by file index.
-    let files_total = files.len();
-    let slots: Mutex<Vec<Option<(FileSummary, bool)>>> =
-        Mutex::new((0..files_total).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let workers = opts.workers.max(1).min(files_total.max(1));
-
-    let work = |_: usize| loop {
-        let i = cursor.fetch_add(1, Ordering::SeqCst);
-        if i >= files_total {
-            break;
-        }
-        let rel = &files[i];
-        let source = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                // Poisoning cannot lose data here: a poisoned guard
-                // still holds the slot, so recover it instead of
-                // propagating a second panic.
-                *io_error.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
-                break;
-            }
-        };
-        let digest = fnv1a_hex(source.as_bytes());
-        let (summary, cached) = match cache.as_ref().and_then(|c| c.load(rel, &digest)) {
-            Some(summary) => (summary, true),
-            None => {
-                let summary = analyze(rel, &source, cfg);
-                if let Some(c) = &cache {
-                    c.store(&summary, &digest);
-                }
-                (summary, false)
-            }
-        };
-        slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some((summary, cached));
-    };
-
-    if workers <= 1 {
-        work(0);
-    } else {
-        let work = &work;
-        let joined = crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                s.spawn(move |_| work(w));
-            }
-        });
-        if let Err(payload) = joined {
-            // A worker panic is a lint bug; surface it as itself.
-            std::panic::resume_unwind(payload);
-        }
-    }
-    if let Some(e) = io_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-
-    let mut files_analyzed = 0;
-    let mut files_cached = 0;
-    let summaries: Vec<FileSummary> = slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .flatten()
-        .map(|(summary, cached)| {
-            if cached {
-                files_cached += 1;
-            } else {
-                files_analyzed += 1;
-            }
-            summary
-        })
-        .collect();
+    // Pass 1: per-file summaries, in path order.
+    let summaries = files
+        .iter()
+        .map(|rel| Ok(analyze(rel, &std::fs::read_to_string(root.join(rel))?, cfg)))
+        .collect::<std::io::Result<Vec<FileSummary>>>()?;
+    let files_analyzed = summaries.len();
 
     // Pass 2: cross-file rules over the index, then central allow
     // application and unused-directive reporting.
@@ -192,9 +68,7 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &EngineOptions) -> std::io::Resu
 
     Ok(LintReport {
         diagnostics,
-        files_total,
         files_analyzed,
-        files_cached,
     })
 }
 
@@ -212,7 +86,7 @@ pub fn analyze(rel: &str, source: &str, cfg: &LintConfig) -> FileSummary {
 
 #[cfg(test)]
 mod tests {
-    use super::{run, CacheMode, EngineOptions};
+    use super::run;
     use crate::config::LintConfig;
     use crate::diagnostics::Rule;
     use std::path::PathBuf;
@@ -229,8 +103,6 @@ mod tests {
         root
     }
 
-    const CFG_RS: &str = "pub struct Cfg {\n    pub nodes: u32,\n    pub rate: u64,\n}\nimpl Cfg {\n    pub fn identity(&self) -> String { format!(\"{}\", self.nodes) }\n}\n";
-
     fn digest_cfg() -> LintConfig {
         LintConfig {
             digest_structs: vec![crate::config::ItemSpec {
@@ -246,93 +118,10 @@ mod tests {
     fn cross_file_findings_respect_allows_and_unused_is_reported() {
         let allowed = "pub struct Cfg {\n    pub nodes: u32,\n    // lint:allow(digest-completeness) — rate is display-only, never cached\n    pub rate: u64,\n}\nimpl Cfg {\n    pub fn identity(&self) -> String { format!(\"{}\", self.nodes) }\n    // lint:allow(digest-completeness) — stale: nothing fires on this line\n    pub fn extra(&self) {}\n}\n";
         let root = workspace("allows", &[("crates/net/src/cfg.rs", allowed)]);
-        let report = run(&root, &digest_cfg(), &EngineOptions::default()).expect("run");
+        let report = run(&root, &digest_cfg()).expect("run");
         let rules: Vec<Rule> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(rules, [Rule::AllowUnused], "{:?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 8);
-    }
-
-    #[test]
-    fn workers_do_not_change_the_report() {
-        let files: Vec<(String, String)> = (0..17)
-            .map(|i| {
-                (
-                    format!("crates/sim/src/m{i}.rs"),
-                    format!("fn f{i}() {{ let x = opt.unwrap(); use_it(x); }}\n"),
-                )
-            })
-            .collect();
-        let refs: Vec<(&str, &str)> = files
-            .iter()
-            .map(|(a, b)| (a.as_str(), b.as_str()))
-            .collect();
-        let root = workspace("workers", &refs);
-        let cfg = LintConfig::default();
-        let baseline = run(&root, &cfg, &EngineOptions::default()).expect("run");
-        assert_eq!(baseline.diagnostics.len(), 17);
-        for workers in [2, 4, 8] {
-            let opts = EngineOptions {
-                workers,
-                ..EngineOptions::default()
-            };
-            let report = run(&root, &cfg, &opts).expect("run");
-            assert_eq!(
-                report.diagnostics, baseline.diagnostics,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn second_run_is_fully_cached_and_identical() {
-        let root = workspace(
-            "cache",
-            &[
-                ("crates/net/src/cfg.rs", CFG_RS),
-                ("crates/sim/src/a.rs", "fn f() { x.unwrap(); }\n"),
-            ],
-        );
-        let opts = EngineOptions {
-            workers: 2,
-            cache: CacheMode::Enabled,
-            cache_dir: Some(root.join("lint-cache")),
-        };
-        let cfg = digest_cfg();
-        let cold = run(&root, &cfg, &opts).expect("cold");
-        assert_eq!(cold.files_analyzed, 2);
-        assert_eq!(cold.files_cached, 0);
-        assert!(cold
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == Rule::DigestCompleteness));
-
-        let warm = run(&root, &cfg, &opts).expect("warm");
-        assert_eq!(warm.files_analyzed, 0);
-        assert_eq!(warm.files_cached, 2);
-        assert_eq!(warm.diagnostics, cold.diagnostics);
-
-        // Touching one file re-analyzes only that file.
-        std::fs::write(
-            root.join("crates/sim/src/a.rs"),
-            "fn f() { x.unwrap(); y.unwrap(); }\n",
-        )
-        .expect("rewrite");
-        let touched = run(&root, &cfg, &opts).expect("touched");
-        assert_eq!(touched.files_analyzed, 1);
-        assert_eq!(touched.files_cached, 1);
-
-        // Rebuild mode purges and analyzes everything again.
-        let rebuild = run(
-            &root,
-            &cfg,
-            &EngineOptions {
-                cache: CacheMode::Rebuild,
-                ..opts.clone()
-            },
-        )
-        .expect("rebuild");
-        assert_eq!(rebuild.files_analyzed, 2);
-        assert_eq!(rebuild.diagnostics, touched.diagnostics);
     }
 
     #[test]
@@ -345,7 +134,7 @@ mod tests {
             disabled_rules: vec![Rule::PanicUnwrap],
             ..LintConfig::default()
         };
-        let report = run(&root, &cfg, &EngineOptions::default()).expect("run");
+        let report = run(&root, &cfg).expect("run");
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
 }

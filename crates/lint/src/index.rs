@@ -2,9 +2,7 @@
 //!
 //! Pass 1 produces one [`FileSummary`] per file (parsed items, raw
 //! per-file diagnostics, allow directives); the index is the ordered
-//! collection pass 2's cross-file rules query. Summaries are exactly
-//! what the incremental cache stores, so a cached file re-enters the
-//! index without being re-read.
+//! collection pass 2's cross-file rules query.
 
 use crate::allow::Allows;
 use crate::diagnostics::Diagnostic;

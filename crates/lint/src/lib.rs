@@ -34,7 +34,6 @@
 //! suppressed line-by-line with `// lint:allow(<rule>) — <reason>`.
 
 pub mod allow;
-pub mod cache;
 pub mod config;
 pub mod diagnostics;
 pub mod engine;
@@ -134,14 +133,6 @@ pub fn lint_source(path: &str, source: &str, cfg: &LintConfig) -> Vec<Diagnostic
     // twice; report each site once.
     diags.dedup();
     diags
-}
-
-/// Walks `root` and lints every non-excluded `.rs` file with the full
-/// two-pass engine (single worker, no cache). Returns diagnostics
-/// sorted by path, line, column.
-pub fn lint_tree(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Diagnostic>> {
-    let report = engine::run(root, cfg, &engine::EngineOptions::default())?;
-    Ok(report.diagnostics)
 }
 
 /// Recursively gathers workspace-relative `.rs` paths, honouring the

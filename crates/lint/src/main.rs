@@ -1,28 +1,24 @@
 //! airguard-lint CLI.
 //!
 //! ```text
-//! airguard-lint [--root DIR] [--config FILE] [--workers N]
-//!               [--format text|json|sarif] [--no-cache] [--fix-cache]
-//!               [--cache-dir DIR] [FILES...]
+//! airguard-lint [--root DIR] [--config FILE] [--format text|json|sarif] [FILES...]
 //! ```
 //!
 //! With no file arguments, runs the two-pass engine over every `.rs`
 //! file under the root (default: the workspace root containing
-//! `lint.toml`, else the current directory), serving unchanged files
-//! from the incremental cache under `target/lint-cache/`. Prints
+//! `lint.toml`, else the current directory). Prints
 //! `file:line:col: rule-id: message` per finding (or the chosen
 //! structured format), sorted; exits 1 if any violation was found, 2 on
-//! usage or configuration errors. Cache statistics go to stderr so the
+//! usage or configuration errors. The file count goes to stderr so the
 //! report streams are byte-stable.
 
 use airguard_lint::config::LintConfig;
-use airguard_lint::engine::{CacheMode, EngineOptions};
 use airguard_lint::{lint_source, output};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: airguard-lint [--root DIR] [--config FILE] [--workers N] \
-[--format text|json|sarif] [--no-cache] [--fix-cache] [--cache-dir DIR] [FILES...]";
+const USAGE: &str =
+    "usage: airguard-lint [--root DIR] [--config FILE] [--format text|json|sarif] [FILES...]";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -35,24 +31,14 @@ struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
     files: Vec<String>,
-    workers: usize,
     format: Format,
-    cache: CacheMode,
-    cache_dir: Option<PathBuf>,
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut root = None;
     let mut config = None;
     let mut files = Vec::new();
-    let mut workers = default_workers();
     let mut format = Format::Text;
-    let mut cache = CacheMode::Enabled;
-    let mut cache_dir = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -64,14 +50,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--config requires a file argument")?;
                 config = Some(PathBuf::from(v));
             }
-            "--workers" => {
-                let v = it.next().ok_or("--workers requires a count argument")?;
-                workers = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--workers needs a positive integer, got `{v}`"))?;
-            }
             "--format" => {
                 let v = it.next().ok_or("--format requires text|json|sarif")?;
                 format = match v.as_str() {
@@ -80,14 +58,6 @@ fn parse_args() -> Result<Args, String> {
                     "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`; use text|json|sarif")),
                 };
-            }
-            "--no-cache" => cache = CacheMode::Disabled,
-            "--fix-cache" => cache = CacheMode::Rebuild,
-            "--cache-dir" => {
-                let v = it
-                    .next()
-                    .ok_or("--cache-dir requires a directory argument")?;
-                cache_dir = Some(PathBuf::from(v));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -104,10 +74,7 @@ fn parse_args() -> Result<Args, String> {
         root,
         config,
         files,
-        workers,
         format,
-        cache,
-        cache_dir,
     })
 }
 
@@ -157,17 +124,9 @@ fn run() -> Result<usize, String> {
     let cfg = load_config(&args)?;
 
     let diags = if args.files.is_empty() {
-        let opts = EngineOptions {
-            workers: args.workers,
-            cache: args.cache,
-            cache_dir: args.cache_dir.clone(),
-        };
-        let report = airguard_lint::engine::run(&args.root, &cfg, &opts)
+        let report = airguard_lint::engine::run(&args.root, &cfg)
             .map_err(|e| format!("walking {}: {e}", args.root.display()))?;
-        eprintln!(
-            "airguard-lint: {} files analyzed, {} cached ({} total)",
-            report.files_analyzed, report.files_cached, report.files_total
-        );
+        eprintln!("airguard-lint: {} files analyzed", report.files_analyzed);
         report.diagnostics
     } else {
         // Single-file mode is pass-1 only: cross-file rules need the

@@ -2,13 +2,16 @@
 //! SARIF 2.1.0 for code-scanning upload.
 //!
 //! All three formats are pure functions of the sorted diagnostic list,
-//! so the bytes are identical for any worker count and any cache state.
-//! JSON is emitted by hand (the offline build has no serde_json); keys
-//! are written in a fixed order and strings escaped per RFC 8259.
+//! so the same tree always renders to the same bytes. JSON is emitted by
+//! hand (the offline build has no serde_json); keys are written in a
+//! fixed order and strings escaped per RFC 8259.
 
-use crate::cache::TOOL_VERSION;
 use crate::diagnostics::{Diagnostic, Rule};
 use std::fmt::Write as _;
+
+/// Tool name and version, as the JSON header and the SARIF driver
+/// report them.
+pub const TOOL_VERSION: &str = "airguard-lint 0.2.0";
 
 /// One diagnostic per line, `path:line:col: rule: message`.
 #[must_use]

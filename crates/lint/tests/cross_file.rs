@@ -4,7 +4,7 @@
 
 use airguard_lint::config::LintConfig;
 use airguard_lint::diagnostics::Rule;
-use airguard_lint::lint_tree;
+use airguard_lint::engine;
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -45,7 +45,9 @@ fn seeding_a_fresh_config_field_trips_digest_completeness() {
     let root = scratch_copy("digest-completeness-clean", "digest-field");
     let cfg = fixture_config(&root);
     assert_eq!(
-        lint_tree(&root, &cfg).expect("clean baseline"),
+        engine::run(&root, &cfg)
+            .expect("clean baseline")
+            .diagnostics,
         vec![],
         "the copied tree must start clean"
     );
@@ -60,7 +62,7 @@ fn seeding_a_fresh_config_field_trips_digest_completeness() {
     assert_ne!(seeded, source, "seed point must exist in the fixture");
     std::fs::write(&scenario, seeded).expect("seeded write");
 
-    let diags = lint_tree(&root, &cfg).expect("seeded run");
+    let diags = engine::run(&root, &cfg).expect("seeded run").diagnostics;
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].rule, Rule::DigestCompleteness);
     assert!(
@@ -88,7 +90,7 @@ fn consuming_the_seeded_field_in_any_listed_fn_clears_the_finding() {
             "self.nodes, self.offered_load, self.selfish_fraction + u64::from(self.retry_limit)",
         );
     std::fs::write(&scenario, seeded).expect("seeded write");
-    assert_eq!(lint_tree(&root, &cfg).expect("run"), vec![]);
+    assert_eq!(engine::run(&root, &cfg).expect("run").diagnostics, vec![]);
 }
 
 #[test]
@@ -105,7 +107,7 @@ fn seeding_a_fresh_event_variant_trips_obs_coverage() {
     assert_ne!(seeded, source);
     std::fs::write(&event, seeded).expect("seeded write");
 
-    let diags = lint_tree(&root, &cfg).expect("seeded run");
+    let diags = engine::run(&root, &cfg).expect("seeded run").diagnostics;
     let rules: Vec<Rule> = diags.iter().map(|d| d.rule).collect();
     assert!(
         rules.iter().all(|r| *r == Rule::ObsCoverage) && rules.len() == 2,

@@ -4,7 +4,7 @@
 
 use airguard_lint::config::LintConfig;
 use airguard_lint::diagnostics::Rule;
-use airguard_lint::lint_tree;
+use airguard_lint::engine;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -22,8 +22,8 @@ fn rules_in(name: &str) -> Vec<Rule> {
         Ok(text) => LintConfig::parse(&text).expect("fixture lint.toml parses"),
         Err(_) => LintConfig::default(),
     };
-    let diags = lint_tree(&root, &cfg).expect("fixture tree readable");
-    diags.iter().map(|d| d.rule).collect()
+    let report = engine::run(&root, &cfg).expect("fixture tree readable");
+    report.diagnostics.iter().map(|d| d.rule).collect()
 }
 
 #[test]
@@ -88,11 +88,9 @@ fn reasonless_allow_is_flagged_and_grants_nothing() {
 }
 
 fn run_binary(fixture_name: &str) -> std::process::Output {
-    // --no-cache keeps fixture trees pristine (no target/lint-cache).
     Command::new(env!("CARGO_BIN_EXE_airguard-lint"))
         .arg("--root")
         .arg(fixture(fixture_name))
-        .arg("--no-cache")
         .output()
         .expect("binary runs")
 }
@@ -196,6 +194,23 @@ fn binary_exits_two_on_bad_config() {
 }
 
 #[test]
+fn cache_and_worker_flags_are_unknown_options() {
+    for flag in ["--workers", "--no-cache", "--fix-cache", "--cache-dir"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_airguard-lint"))
+            .arg("--root")
+            .arg(fixture("clean"))
+            .arg(flag)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+            "{flag}"
+        );
+    }
+}
+
+#[test]
 fn binary_exits_two_when_config_names_a_ghost_crate() {
     let dir = std::env::temp_dir().join("airguard-lint-ghostcfg");
     let _ = std::fs::remove_dir_all(&dir);
@@ -205,7 +220,6 @@ fn binary_exits_two_when_config_names_a_ghost_crate() {
     let out = Command::new(env!("CARGO_BIN_EXE_airguard-lint"))
         .arg("--root")
         .arg(&dir)
-        .arg("--no-cache")
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));

@@ -12,13 +12,14 @@
 //!
 //! One line per station (sorted by id), then a meta line, then a footer
 //! carrying the FNV-1a hash of everything above it plus the line count.
-//! Writes go to a `.tmp` sibling, are synced, and are published with an
-//! atomic rename followed (on Unix) by a sync of the directory, so a crash
-//! mid-write leaves at most a stray temp file — the previous `.ckpt`
-//! stays intact — and a published snapshot stays published. Restore
-//! walks `*.ckpt` files newest first and takes the first one whose
-//! footer validates: torn, truncated, or bit-flipped snapshots are
-//! skipped with a warning, not trusted and not fatal.
+//! Writes go through [`airguard_obs::atomic_write`]: a uniquely named
+//! `.tmp` sibling is synced and published with an atomic rename followed
+//! (on Unix) by a sync of the directory, so a crash mid-write leaves at
+//! most a stray temp file — the previous `.ckpt` stays intact — and a
+//! published snapshot stays published. Restore walks `*.ckpt` files
+//! newest first and takes the first one whose footer validates: torn,
+//! truncated, or bit-flipped snapshots are skipped with a warning, not
+//! trusted and not fatal.
 //!
 //! Floats are written in Rust's shortest-round-trip form and read back
 //! by [`crate::json`], so export → write → load → restore reproduces
@@ -26,11 +27,10 @@
 //! kill/restart guarantee.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use airguard_core::DetectorState;
-use airguard_obs::fnv1a_hex;
+use airguard_obs::{atomic_write, fnv1a_hex};
 
 use crate::json::JsonValue;
 
@@ -278,26 +278,13 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the snapshot into `dir` as `ckpt-<consumed>.ckpt` via a
-    /// temp-file + fsync + rename publish, then (on Unix) syncs `dir`
-    /// so the rename itself survives a crash. Returns the final path.
+    /// Writes the snapshot into `dir` as `ckpt-<consumed>.ckpt` through
+    /// [`atomic_write`] (temp file, fsync, rename, directory sync).
+    /// Returns the final path.
     pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let name = format!("ckpt-{:012}", self.consumed);
-        let tmp = dir.join(format!("{name}.tmp"));
-        let finality = dir.join(format!("{name}.ckpt"));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_file_image().as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &finality)?;
-        // The rename lives in the directory's entries: sync them too, or
-        // a crash can lose the publish after the file itself is durable.
-        // Only Unix opens a directory as a file that can be synced.
-        #[cfg(unix)]
-        std::fs::File::open(dir)?.sync_all()?;
-        Ok(finality)
+        let path = dir.join(format!("ckpt-{:012}.ckpt", self.consumed));
+        atomic_write(&path, self.to_file_image().as_bytes())?;
+        Ok(path)
     }
 
     /// Loads the newest valid checkpoint under `dir`. Invalid files are

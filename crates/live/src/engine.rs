@@ -38,7 +38,7 @@ use airguard_core::{
     SourceError, StationObservation,
 };
 use airguard_mac::BackoffObservation;
-use airguard_obs::{fnv1a_hex, EventSink, JsonObject, ObsEvent, RunSummary, NO_NODE};
+use airguard_obs::{fnv1a, fnv1a_hex, EventSink, JsonObject, ObsEvent, RunSummary, NO_NODE};
 
 use crate::channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 use crate::checkpoint::{Checkpoint, StationRecord};
@@ -243,11 +243,7 @@ pub struct LiveOutcome {
 /// the assignment is reproducible from the DESIGN.md description).
 #[must_use]
 pub fn shard_of(station: u32, shards: u32) -> u32 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in station.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a(&station.to_le_bytes());
     u32::try_from(hash % u64::from(shards.max(1))).unwrap_or(0)
 }
 
@@ -932,6 +928,15 @@ mod tests {
             assert_eq!(s, shard_of(station, 4), "stable");
         }
         assert_eq!(shard_of(7, 1), 0);
+    }
+
+    #[test]
+    fn shard_map_never_moves() {
+        // Checkpoints and the 1- vs 2-shard identity checks depend on
+        // this exact station→shard assignment; it must never change.
+        let at = |shards| (0..16).map(|s| shard_of(s, shards)).collect::<Vec<u32>>();
+        assert_eq!(at(2), [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]);
+        assert_eq!(at(4), [1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2]);
     }
 
     #[test]

@@ -383,12 +383,17 @@ impl ScenarioConfig {
     }
 
     /// Runs the scenario once and reports.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from the simulation; on the spatial (sharded)
+    /// path the message names the component that panicked.
     #[must_use]
     pub fn run(&self) -> RunReport {
         match self.run_internal(&RunBudget::unlimited(), None, None) {
             Ok(report) => report,
-            // lint:allow(panic-macro) — an unlimited budget has no trip condition, so this arm cannot run
-            Err(watchdog) => unreachable!("{watchdog}"),
+            // lint:allow(panic-macro) — an unlimited budget never trips, so the only error is a shard component's panic, re-raised here
+            Err(panicked) => panic!("{panicked}"),
         }
     }
 
@@ -451,8 +456,8 @@ impl ScenarioConfig {
         let sink = EventSink::enabled();
         match self.run_internal(&RunBudget::unlimited(), profiler, Some(sink.clone())) {
             Ok(report) => (report, sink),
-            // lint:allow(panic-macro) — an unlimited budget has no trip condition, so this arm cannot run
-            Err(watchdog) => unreachable!("{watchdog}"),
+            // lint:allow(panic-macro) — an unlimited budget never trips, so the only error is a shard component's panic, re-raised here
+            Err(panicked) => panic!("{panicked}"),
         }
     }
 

@@ -17,10 +17,12 @@
 //! * The decomposition depends only on topology and config — never on
 //!   the worker count — and components are ordered by their smallest
 //!   member id, with members ascending inside each component.
-//! * Workers claim components from a shared cursor, but results are
-//!   written into per-component slots and merged in component order, so
-//!   the merged report and record stream are **byte-identical at any
-//!   worker count**.
+//! * Workers claim components from the shared task pool
+//!   ([`airguard_obs::run_tasks`]), which returns results in component
+//!   order; the merge walks that order, so the merged report and record
+//!   stream are **byte-identical at any worker count**.
+//! * A component that panics becomes that component's `Err`, reported
+//!   in component order exactly like a watchdog trip.
 //! * Per-node surfaces (throughput flows, delays, counters, monitors)
 //!   partition across components; registry counters and histograms are
 //!   order-insensitive sums. Merging therefore reproduces exactly what
@@ -31,13 +33,12 @@
 //! * Records are merged by stable sort on virtual time, so events with
 //!   equal timestamps stay in component order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use airguard_fault::FaultPlan;
 use airguard_mac::dcf::MacCounters;
 use airguard_metrics::{DelayAccount, DiagnosisTally, ThroughputAccount, TimeBinned};
-use airguard_obs::{EventSink, Phase, PhaseProfiler, Record, RegistrySnapshot, RunSummary};
+use airguard_obs::{
+    run_tasks, EventSink, Phase, PhaseProfiler, Record, RegistrySnapshot, RunSummary,
+};
 use airguard_phy::{interference_cutoff, TileIndex};
 use airguard_sim::trace::Trace;
 use airguard_sim::NodeId;
@@ -292,8 +293,9 @@ pub(crate) struct ShardOptions {
 ///
 /// # Errors
 ///
-/// Returns the first tripped component's watchdog error, in component
-/// order (deterministic regardless of which worker tripped first).
+/// Returns the first failed component's error in component order
+/// (deterministic regardless of which worker failed first): its
+/// watchdog trip, or its panic message.
 pub(crate) fn run_sharded(
     cfg: SimulationConfig,
     topology: Topology,
@@ -310,37 +312,16 @@ pub(crate) fn run_sharded(
         let _build = profiler.scope(Phase::ShardBuild);
         build_plan(&cfg, &topology, policies, &misbehaving)
     };
-    let n_comp = specs.len();
-    let workers = workers.max(1).min(n_comp.max(1));
-    type SubResult = Result<(Vec<u32>, RunReport, Vec<Record>), String>;
-    let slots: Vec<Mutex<Option<ComponentSpec>>> =
-        specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let results: Vec<Mutex<Option<SubResult>>> = (0..n_comp).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_comp {
-                    break;
-                }
-                let spec = slots[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                let Some(spec) = spec else { continue };
-                let outcome = run_component(spec, sink_mask, profiler, budget);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-            });
-        }
+    let results = run_tasks(specs, workers, |spec| {
+        run_component(spec, sink_mask, profiler, budget)
     });
     let _merge = profiler.scope(Phase::ShardMerge);
-    let mut subs = Vec::with_capacity(n_comp);
-    for slot in results {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Ok(sub)) => subs.push(sub),
-            Some(Err(e)) => return Err(e),
-            None => return Err("shard worker exited without recording a result".to_owned()),
+    let mut subs = Vec::with_capacity(results.len());
+    for (i, result) in results.into_iter().enumerate() {
+        match result {
+            Ok(Ok(sub)) => subs.push(sub),
+            Ok(Err(watchdog)) => return Err(watchdog),
+            Err(panic) => return Err(format!("shard component {i} panicked: {panic}")),
         }
     }
     let mut throughput = ThroughputAccount::new();

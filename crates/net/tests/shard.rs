@@ -18,7 +18,7 @@
 use airguard_core::CorrectConfig;
 use airguard_fault::{ClockDrift, CrashEvent, FaultPlan};
 use airguard_mac::Selfish;
-use airguard_net::{NodePolicy, Protocol, ScenarioConfig, Simulation, StandardScenario};
+use airguard_net::{NodePolicy, Protocol, RunBudget, ScenarioConfig, Simulation, StandardScenario};
 use airguard_sim::trace::TraceEvent;
 use airguard_sim::{NodeId, SimDuration};
 
@@ -236,4 +236,25 @@ fn non_spatial_runs_are_untouched_by_the_shard_knobs() {
         base.config_digest(),
         base.clone().shard_workers(8).config_digest()
     );
+}
+
+#[test]
+fn a_panicking_component_is_an_error_in_component_order() {
+    // Every component polls the shared deadline probe, so a probe that
+    // panics takes down all four. Each panic stays inside its own
+    // component, and the run reports component 0's, as a typed error,
+    // whichever worker panicked first.
+    let budget = RunBudget {
+        max_events: None,
+        deadline_exceeded: Some(std::sync::Arc::new(|| panic!("probe exploded"))),
+    };
+    for workers in [1, 2, 4] {
+        let err = campus(workers)
+            .run_budgeted(&budget)
+            .expect_err("a panicking component must fail the run");
+        assert_eq!(
+            err, "shard component 0 panicked: probe exploded",
+            "at {workers} workers"
+        );
+    }
 }

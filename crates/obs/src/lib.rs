@@ -35,6 +35,11 @@
 //! * **Timeline export** ([`records_to_chrome_trace`]) — the
 //!   virtual-time stream as Chrome trace-event JSON for Perfetto.
 //!
+//! Because the crates that need them (`sim`, `net`, `exp`, `live`)
+//! already depend on this one, it is also the single home of three
+//! jobs they share: FNV-1a 64 ([`fnv1a`], [`fnv1a_hex`]), the task pool
+//! ([`run_tasks`]), and the crash-safe file writer ([`atomic_write`]).
+//!
 //! # Determinism
 //!
 //! Reports and JSONL export use virtual time only and `BTreeMap`
@@ -44,8 +49,10 @@
 #![forbid(unsafe_code)]
 
 mod event;
+mod file;
 mod json;
 mod perfetto;
+mod pool;
 mod profile;
 mod progress;
 mod registry;
@@ -54,12 +61,16 @@ mod sink;
 mod span;
 
 pub use event::{exchange_id, exchange_seq, exchange_src, Category, ObsEvent, Record, NO_NODE};
+pub use file::atomic_write;
 pub use json::{escape_into, u64_array, JsonObject};
 pub use perfetto::records_to_chrome_trace;
+pub use pool::{panic_message, run_tasks};
 pub use profile::{Phase, PhaseGuard, PhaseProfiler};
 pub use progress::{Progress, ProgressSnapshot};
 pub use registry::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
-pub use report::{aggregate_summaries, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary};
+pub use report::{
+    aggregate_summaries, fnv1a, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary,
+};
 pub use sink::EventSink;
 pub use span::{
     detector_latency_hists, ExchangeSpan, SpanSet, StationSpan, DETECTION_LATENCY_BOUNDS_US,

@@ -11,19 +11,29 @@ use crate::event::{ObsEvent, Record, NO_NODE};
 use crate::json::{u64_array, JsonObject};
 use crate::registry::{HistogramSnapshot, RegistrySnapshot};
 
-/// FNV-1a 64-bit digest of `bytes`, as a fixed-width hex string.
+/// FNV-1a 64-bit hash of `bytes` — the workspace's one implementation,
+/// behind config digests, RNG stream keys, checkpoint footers, and the
+/// live station→shard map. Every one of those is persisted or compared
+/// across runs, so the function's output must never change.
+#[inline]
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// [`fnv1a`] of `bytes`, as a fixed-width hex string.
 ///
 /// Used to fingerprint the run configuration (`Debug` rendering of the
 /// config struct) so reports from different configs never compare equal
 /// by accident.
 #[must_use]
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a(bytes))
 }
 
 /// Deterministic per-run report: configuration digest, seed, virtual
@@ -361,7 +371,9 @@ pub fn records_to_jsonl(records: &[Record]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{aggregate_summaries, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary};
+    use super::{
+        aggregate_summaries, fnv1a, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary,
+    };
     use crate::event::{ObsEvent, Record, NO_NODE};
     use crate::registry::Registry;
 
@@ -371,6 +383,16 @@ mod tests {
         assert_eq!(d.len(), 16);
         assert_eq!(d, fnv1a_hex(b"airguard"));
         assert_ne!(d, fnv1a_hex(b"airguarD"));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_test_vectors() {
+        // Known answers from the FNV reference test suite; every cache
+        // key, stream key, and shard assignment depends on these.
+        assert_eq!(fnv1a_hex(b""), "cbf29ce484222325");
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_hex(b"foobar"), "85944171f73967e8");
     }
 
     #[test]

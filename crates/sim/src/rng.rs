@@ -54,18 +54,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over the domain label, so distinct component names map to
-/// well-separated stream keys.
-#[must_use]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A deterministic random stream derived from a [`MasterSeed`].
 ///
 /// This is a thin newtype over [`StdRng`]; use it anywhere an
@@ -81,9 +69,10 @@ impl RngStream {
     /// Derives the stream for `(domain, index)` under `master`.
     #[must_use]
     pub fn new(master: MasterSeed, domain: &str, index: u64) -> Self {
-        let key = splitmix64(
-            splitmix64(master.0 ^ fnv1a(domain.as_bytes())).wrapping_add(splitmix64(index)),
-        );
+        // FNV-1a over the domain label, so distinct component names map
+        // to well-separated stream keys.
+        let domain_key = airguard_obs::fnv1a(domain.as_bytes());
+        let key = splitmix64(splitmix64(master.0 ^ domain_key).wrapping_add(splitmix64(index)));
         RngStream {
             inner: StdRng::seed_from_u64(key),
             key,
