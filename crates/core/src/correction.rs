@@ -13,10 +13,8 @@
 //! misbehaving node to its fair share for PM ≲ 80 % and degrades only as
 //! PM → 100 %, matching Fig. 5 (see DESIGN.md §5 for the algebra).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of deviation measurement and penalty computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrectionConfig {
     /// The deviation tolerance α of Eq. 1: a sender deviates when
     /// `B_act < α·B_exp`. The paper uses 0.9.

@@ -1,12 +1,11 @@
 //! A hand-rolled bounded MPSC channel (Mutex + Condvar + ring buffer).
 //!
-//! The vendored `crossbeam` shim carries only scoped threads — no
-//! channels — and `std::sync::mpsc::channel` is unbounded, which the
-//! `bounded-channel` lint bans in this crate for a reason: the whole
-//! point of the live service is that overload becomes *visible
-//! backpressure* (a blocked feeder, a counted shed, a degraded mode),
-//! never silent memory growth. Capacity is fixed at construction and
-//! every overflow behaviour is an explicit method:
+//! `std::sync::mpsc::channel` is unbounded, which the `bounded-channel`
+//! lint bans in this crate for a reason: the whole point of the live
+//! service is that overload becomes *visible backpressure* (a blocked
+//! feeder, a counted shed, a degraded mode), never silent memory growth.
+//! Capacity is fixed at construction and every overflow behaviour is an
+//! explicit method:
 //!
 //! * [`Sender::send`] — block until space (the `block` policy),
 //! * [`Sender::try_send`] — fail fast (drives `sample` degradation),
@@ -414,13 +413,12 @@ mod tests {
     #[test]
     fn send_wakes_a_parked_recv() {
         let (tx, rx) = bounded(1);
-        crossbeam::thread::scope(|scope| {
-            let got = scope.spawn(|_| rx.recv());
+        std::thread::scope(|scope| {
+            let got = scope.spawn(|| rx.recv());
             await_parked(&tx.shared, 1, 0);
             tx.send(5).expect("receiver alive");
             assert_eq!(got.join().expect("no panic"), Some(5));
-        })
-        .expect("no worker panicked");
+        });
         assert_eq!(tx.shared.lock().parked_receivers, 0);
     }
 
@@ -428,16 +426,15 @@ mod tests {
     fn blocking_send_resumes_when_space_frees() {
         let (tx, rx) = bounded(1);
         tx.send(0).expect("receiver alive");
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
                 // Blocks until the main thread drains one item.
                 tx.send(1).expect("receiver alive");
             });
             await_parked(&rx.shared, 0, 1);
             assert_eq!(rx.recv(), Some(0));
             assert_eq!(rx.recv(), Some(1));
-        })
-        .expect("no worker panicked");
+        });
     }
 
     #[test]
@@ -445,8 +442,8 @@ mod tests {
         let (tx, rx) = bounded(1);
         tx.send(0).expect("receiver alive");
         let patience = Duration::from_secs(60);
-        crossbeam::thread::scope(|scope| {
-            let sent = scope.spawn(|_| {
+        std::thread::scope(|scope| {
+            let sent = scope.spawn(|| {
                 let start = Instant::now();
                 (tx.send_timeout(1, patience), start.elapsed())
             });
@@ -458,8 +455,7 @@ mod tests {
             // and only then find the free slot.
             assert!(waited < patience, "woke at its deadline, not on the pop");
             assert_eq!(rx.recv(), Some(1));
-        })
-        .expect("no worker panicked");
+        });
         assert_eq!(tx.shared.lock().parked_senders, 0);
     }
 
@@ -467,27 +463,25 @@ mod tests {
     fn dropping_the_last_sender_wakes_a_parked_recv() {
         let (tx, rx) = bounded::<i32>(1);
         let tx2 = tx.clone();
-        crossbeam::thread::scope(|scope| {
-            let got = scope.spawn(|_| rx.recv());
+        std::thread::scope(|scope| {
+            let got = scope.spawn(|| rx.recv());
             await_parked(&rx.shared, 1, 0);
             drop(tx);
             drop(tx2);
             assert_eq!(got.join().expect("no panic"), None);
-        })
-        .expect("no worker panicked");
+        });
     }
 
     #[test]
     fn dropping_the_receiver_wakes_a_parked_send() {
         let (tx, rx) = bounded(1);
         tx.send(0).expect("receiver alive");
-        crossbeam::thread::scope(|scope| {
-            let sent = scope.spawn(|_| tx.send(1));
+        std::thread::scope(|scope| {
+            let sent = scope.spawn(|| tx.send(1));
             await_parked(&tx.shared, 0, 1);
             drop(rx);
             assert_eq!(sent.join().expect("no panic"), Err(SendError::Disconnected));
-        })
-        .expect("no worker panicked");
+        });
     }
 
     #[test]

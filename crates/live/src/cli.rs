@@ -22,7 +22,7 @@ use airguard_core::{DetectorConfig, ObservationSource, SourceError};
 use airguard_obs::EventSink;
 
 use crate::engine::{run, LiveConfig, OverflowPolicy};
-use crate::replay::{FrameSource, JsonlSource, SocketSource, SupervisedSource};
+use crate::replay::{JsonlSource, SocketSource, SupervisedSource};
 
 /// One stdout line, written atomically (the summary must land as one
 /// uninterleaved line — CI greps it byte-for-byte).
@@ -42,11 +42,10 @@ fn err(line: &str) {
 }
 
 const USAGE: &str = "\
-usage: airguard-live (--replay FILE | --frames FILE | --listen ADDR) [options]
+usage: airguard-live (--replay FILE | --listen ADDR) [options]
 
 feed (exactly one):
   --replay FILE    replay a .events.jsonl export (deterministic)
-  --frames FILE    replay a length-prefixed binary frame file
   --listen ADDR    accept JSONL feed connections on ADDR; peers that
                    disconnect are re-accepted with exponential backoff
 
@@ -75,8 +74,6 @@ options:
 pub struct Cli {
     /// `--replay FILE`.
     pub replay: Option<String>,
-    /// `--frames FILE`.
-    pub frames: Option<String>,
     /// `--listen ADDR`.
     pub listen: Option<String>,
     /// Validated shard count.
@@ -139,11 +136,10 @@ fn env_shards() -> Result<Option<u32>, String> {
 ///
 /// Returns a usage-style message on unknown flags, malformed numbers,
 /// unknown policy/detector kinds, a malformed `AIRGUARD_LIVE_SHARDS`,
-/// or a feed selection that is not exactly one of replay/frames/listen.
+/// or a feed selection that is not exactly one of replay/listen.
 pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         replay: None,
-        frames: None,
         listen: None,
         shards: env_shards()?.unwrap_or(4),
         overflow: OverflowPolicy::Block,
@@ -166,7 +162,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--replay" => cli.replay = Some(value("--replay", &mut it)?),
-            "--frames" => cli.frames = Some(value("--frames", &mut it)?),
             "--listen" => cli.listen = Some(value("--listen", &mut it)?),
             "--shards" => {
                 let v = value("--shards", &mut it)?;
@@ -210,16 +205,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unknown flag {other:?} (see --help)")),
         }
     }
-    if !cli.help {
-        let feeds = usize::from(cli.replay.is_some())
-            + usize::from(cli.frames.is_some())
-            + usize::from(cli.listen.is_some());
-        if feeds != 1 {
-            return Err(
-                "exactly one feed is required: --replay FILE, --frames FILE, or --listen ADDR"
-                    .to_owned(),
-            );
-        }
+    if !cli.help && cli.replay.is_some() == cli.listen.is_some() {
+        return Err("exactly one feed is required: --replay FILE or --listen ADDR".to_owned());
     }
     Ok(cli)
 }
@@ -227,11 +214,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
 fn open_source(cli: &Cli, sink: &EventSink) -> Result<Box<dyn ObservationSource>, String> {
     if let Some(path) = &cli.replay {
         return JsonlSource::open(std::path::Path::new(path))
-            .map(|s| Box::new(s) as Box<dyn ObservationSource>)
-            .map_err(|e| source_error_text(&e));
-    }
-    if let Some(path) = &cli.frames {
-        return FrameSource::open(std::path::Path::new(path))
             .map(|s| Box::new(s) as Box<dyn ObservationSource>)
             .map_err(|e| source_error_text(&e));
     }

@@ -28,6 +28,7 @@
 //! monitor-global idle census the feed does not carry).
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -605,13 +606,12 @@ impl Feeder<'_> {
 ///
 /// Fails on an unrecoverable transport error, an exhausted quarantine
 /// budget, a checkpoint that cannot be written, a restore whose state
-/// does not match the configured detector, or a panicked worker.
-#[allow(clippy::too_many_lines)] // the feeder loop reads best unfragmented
+/// does not match the configured detector, or a panicked worker or
+/// source.
 pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<LiveOutcome, String> {
     if config.shards == 0 {
         return Err("shard count must be at least 1".to_owned());
     }
-    let shards = config.shards as usize;
 
     // Restore from the newest valid snapshot, if checkpointing is on.
     let (restored, restore_warnings) = match &config.checkpoint_dir {
@@ -622,6 +622,30 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
         Some((checkpoint, path)) => (checkpoint, Some(path)),
         None => (Checkpoint::default(), None),
     };
+    // A panic on the feeder side (say, inside the source) unwinds out of
+    // the scope once every worker has joined; it becomes an error here,
+    // never an unwind into the caller.
+    catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            serve(scope, config, source, base, restored_from, restore_warnings)
+        })
+    }))
+    .map_err(|_| "live engine panicked".to_owned())?
+}
+
+/// The body of [`run`] inside its thread scope: spawns the shard
+/// workers, runs the feeder loop on the calling thread, then joins the
+/// workers and merges their stripes.
+#[allow(clippy::too_many_lines)] // the feeder loop reads best unfragmented
+fn serve<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    config: &LiveConfig,
+    source: &mut dyn ObservationSource,
+    base: Checkpoint,
+    restored_from: Option<PathBuf>,
+    restore_warnings: Vec<String>,
+) -> Result<LiveOutcome, String> {
+    let shards = config.shards as usize;
     let skip_prefix = base.consumed;
     let counter = |name: &str| base.counters.get(name).copied().unwrap_or(0);
 
@@ -636,250 +660,248 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
     let kills: Vec<Arc<AtomicBool>> = (0..shards).map(|_| Arc::default()).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let scope_result = crossbeam::thread::scope(|scope| -> Result<LiveOutcome, String> {
-        let mut handles = Vec::with_capacity(shards);
-        let mut senders = Vec::with_capacity(shards);
-        for (shard, seed) in seeds.drain(..).enumerate() {
-            let (tx, rx) = bounded::<Msg>(config.queue_capacity);
-            senders.push(Some(tx));
-            let heartbeat = Arc::clone(&heartbeats[shard]);
-            let kill = Arc::clone(&kills[shard]);
-            let stop = Arc::clone(&shutdown);
-            let (detector, diagnosis, correction, faults) = (
-                config.detector,
-                config.diagnosis,
-                config.correction,
-                config.faults,
-            );
-            handles.push(scope.spawn(move |_| {
-                shard_worker(
-                    u32::try_from(shard).unwrap_or(u32::MAX),
-                    &rx,
-                    seed,
-                    detector,
-                    diagnosis,
-                    correction,
-                    &heartbeat,
-                    &kill,
-                    &stop,
-                    faults,
-                )
-            }));
-        }
+    let mut handles = Vec::with_capacity(shards);
+    let mut senders = Vec::with_capacity(shards);
+    for (shard, seed) in seeds.drain(..).enumerate() {
+        let (tx, rx) = bounded::<Msg>(config.queue_capacity);
+        senders.push(Some(tx));
+        let heartbeat = Arc::clone(&heartbeats[shard]);
+        let kill = Arc::clone(&kills[shard]);
+        let stop = Arc::clone(&shutdown);
+        let (detector, diagnosis, correction, faults) = (
+            config.detector,
+            config.diagnosis,
+            config.correction,
+            config.faults,
+        );
+        handles.push(scope.spawn(move || {
+            shard_worker(
+                u32::try_from(shard).unwrap_or(u32::MAX),
+                &rx,
+                seed,
+                detector,
+                diagnosis,
+                correction,
+                &heartbeat,
+                &kill,
+                &stop,
+                faults,
+            )
+        }));
+    }
 
-        let mut feeder = Feeder {
-            config,
-            senders,
-            heartbeats: &heartbeats,
-            kills: &kills,
-            last_beat: vec![0; shards],
-            sample_every: vec![1; shards],
-            sample_seq: vec![0; shards],
-            now_us: base.elapsed_us,
-            quarantined: counter("live.quarantined"),
-            shed_dropped: counter("live.shed_dropped"),
-            sampled_out: counter("live.sampled_out"),
-            shards_quarantined: counter("live.shards_quarantined"),
+    let mut feeder = Feeder {
+        config,
+        senders,
+        heartbeats: &heartbeats,
+        kills: &kills,
+        last_beat: vec![0; shards],
+        sample_every: vec![1; shards],
+        sample_seq: vec![0; shards],
+        now_us: base.elapsed_us,
+        quarantined: counter("live.quarantined"),
+        shed_dropped: counter("live.shed_dropped"),
+        sampled_out: counter("live.sampled_out"),
+        shards_quarantined: counter("live.shards_quarantined"),
+    };
+
+    // Counts records pulled from the source. The feed replays from
+    // its beginning even after a restore, so this starts at zero
+    // and the first `skip_prefix` records (already folded into the
+    // restored detector state) are skipped as they stream past.
+    let mut consumed = 0u64;
+    let mut quarantined_this_run = 0u64;
+    let mut checkpoints_written = 0u64;
+    let mut crashed = false;
+    let mut drained = false;
+    let mut fail: Option<String> = None;
+
+    let write_snapshot = |feeder: &mut Feeder<'_>,
+                          consumed: u64,
+                          checkpoints_written: &mut u64|
+     -> Result<(), String> {
+        let Some(dir) = &config.checkpoint_dir else {
+            return Ok(());
         };
-
-        // Counts records pulled from the source. The feed replays from
-        // its beginning even after a restore, so this starts at zero
-        // and the first `skip_prefix` records (already folded into the
-        // restored detector state) are skipped as they stream past.
-        let mut consumed = 0u64;
-        let mut quarantined_this_run = 0u64;
-        let mut checkpoints_written = 0u64;
-        let mut crashed = false;
-        let mut drained = false;
-        let mut fail: Option<String> = None;
-
-        let write_snapshot = |feeder: &mut Feeder<'_>,
-                              consumed: u64,
-                              checkpoints_written: &mut u64|
-         -> Result<(), String> {
-            let Some(dir) = &config.checkpoint_dir else {
-                return Ok(());
-            };
-            let snaps = feeder.barrier_snapshot();
-            let mut stations: Vec<StationRecord> = Vec::new();
-            let mut elapsed_us = base.elapsed_us;
-            for snap in snaps {
-                elapsed_us = elapsed_us.max(snap.elapsed_us);
-                stations.extend(snap.stations);
-            }
-            stations.sort_by_key(|r| r.station);
-            let n_stations = u64::try_from(stations.len()).unwrap_or(u64::MAX);
-            let checkpoint = Checkpoint {
+        let snaps = feeder.barrier_snapshot();
+        let mut stations: Vec<StationRecord> = Vec::new();
+        let mut elapsed_us = base.elapsed_us;
+        for snap in snaps {
+            elapsed_us = elapsed_us.max(snap.elapsed_us);
+            stations.extend(snap.stations);
+        }
+        stations.sort_by_key(|r| r.station);
+        let n_stations = u64::try_from(stations.len()).unwrap_or(u64::MAX);
+        let checkpoint = Checkpoint {
+            consumed,
+            elapsed_us,
+            counters: feeder.counters(),
+            stations,
+        };
+        checkpoint
+            .write(dir)
+            .map_err(|e| format!("checkpoint write: {e}"))?;
+        *checkpoints_written += 1;
+        config.sink.emit(
+            feeder.now_us,
+            NO_NODE,
+            ObsEvent::LiveCheckpointWritten {
                 consumed,
-                elapsed_us,
-                counters: feeder.counters(),
-                stations,
-            };
-            checkpoint
-                .write(dir)
-                .map_err(|e| format!("checkpoint write: {e}"))?;
-            *checkpoints_written += 1;
-            config.sink.emit(
-                feeder.now_us,
-                NO_NODE,
-                ObsEvent::LiveCheckpointWritten {
-                    consumed,
-                    stations: n_stations,
-                },
-            );
-            Ok(())
-        };
+                stations: n_stations,
+            },
+        );
+        Ok(())
+    };
 
-        loop {
-            if config
-                .drain
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
-            {
-                drained = true;
-                break;
-            }
-            if config.stop_after.is_some_and(|stop| consumed >= stop) {
-                crashed = true;
-                break;
-            }
-            match source.next_observation() {
-                Ok(None) => break,
-                Ok(Some(obs)) => {
-                    consumed += 1;
-                    if consumed <= skip_prefix {
-                        continue; // already folded into the restored state
-                    }
-                    feeder.route(obs);
+    loop {
+        if config
+            .drain
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+        {
+            drained = true;
+            break;
+        }
+        if config.stop_after.is_some_and(|stop| consumed >= stop) {
+            crashed = true;
+            break;
+        }
+        match source.next_observation() {
+            Ok(None) => break,
+            Ok(Some(obs)) => {
+                consumed += 1;
+                if consumed <= skip_prefix {
+                    continue; // already folded into the restored state
                 }
-                Err(SourceError::Malformed(_)) => {
-                    consumed += 1;
-                    if consumed <= skip_prefix {
-                        continue; // counted by the checkpoint we restored
-                    }
-                    feeder.quarantined += 1;
-                    quarantined_this_run += 1;
-                    config.sink.emit(
-                        feeder.now_us,
-                        NO_NODE,
-                        ObsEvent::LiveQuarantined {
-                            source: 0,
-                            record: consumed,
-                        },
-                    );
-                    if quarantined_this_run > config.quarantine_budget {
-                        fail = Some(format!(
-                            "quarantine budget exhausted: {quarantined_this_run} malformed \
-                             records in one run (budget {})",
-                            config.quarantine_budget
-                        ));
-                        break;
-                    }
+                feeder.route(obs);
+            }
+            Err(SourceError::Malformed(_)) => {
+                consumed += 1;
+                if consumed <= skip_prefix {
+                    continue; // counted by the checkpoint we restored
                 }
-                Err(SourceError::Transport(e)) => {
-                    fail = Some(format!("feed transport failure: {e}"));
+                feeder.quarantined += 1;
+                quarantined_this_run += 1;
+                config.sink.emit(
+                    feeder.now_us,
+                    NO_NODE,
+                    ObsEvent::LiveQuarantined {
+                        source: 0,
+                        record: consumed,
+                    },
+                );
+                if quarantined_this_run > config.quarantine_budget {
+                    fail = Some(format!(
+                        "quarantine budget exhausted: {quarantined_this_run} malformed \
+                         records in one run (budget {})",
+                        config.quarantine_budget
+                    ));
                     break;
                 }
             }
-            if config.checkpoint_every > 0
-                && consumed > skip_prefix
-                && consumed.is_multiple_of(config.checkpoint_every)
-            {
-                if let Err(e) = write_snapshot(&mut feeder, consumed, &mut checkpoints_written) {
-                    fail = Some(e);
-                    break;
-                }
+            Err(SourceError::Transport(e)) => {
+                fail = Some(format!("feed transport failure: {e}"));
+                break;
             }
         }
-
-        // Clean end or drain: flush a final snapshot. A simulated crash
-        // (`stop_after`) deliberately skips it — only the periodic
-        // snapshots survive, as in a real kill.
-        if fail.is_none() && !crashed {
+        if config.checkpoint_every > 0
+            && consumed > skip_prefix
+            && consumed.is_multiple_of(config.checkpoint_every)
+        {
             if let Err(e) = write_snapshot(&mut feeder, consumed, &mut checkpoints_written) {
                 fail = Some(e);
+                break;
             }
         }
+    }
 
-        // Close the queues (workers drain and exit), then join.
-        shutdown.store(true, Ordering::Relaxed);
-        feeder.senders.clear();
-        let mut results = Vec::with_capacity(shards);
-        for (shard, handle) in handles.into_iter().enumerate() {
-            let joined = handle
-                .join()
-                .map_err(|_| format!("shard {shard} worker panicked"))?;
-            results.push(joined?);
+    // Clean end or drain: flush a final snapshot. A simulated crash
+    // (`stop_after`) deliberately skips it — only the periodic
+    // snapshots survive, as in a real kill.
+    if fail.is_none() && !crashed {
+        if let Err(e) = write_snapshot(&mut feeder, consumed, &mut checkpoints_written) {
+            fail = Some(e);
         }
-        if let Some(message) = fail {
-            return Err(message);
-        }
+    }
 
-        // Merge stripes (disjoint by construction of the shard map).
-        let mut merged: BTreeMap<u32, (StationRecord, f64)> = BTreeMap::new();
-        let mut elapsed_us = base.elapsed_us;
-        let mut latencies_us = Vec::new();
-        for result in results {
-            elapsed_us = elapsed_us.max(result.elapsed_us);
-            latencies_us.extend(result.latencies_us);
-            for (record, statistic) in result.stations {
-                merged.insert(record.station, (record, statistic));
+    // Close the queues (workers drain and exit), then join.
+    shutdown.store(true, Ordering::Relaxed);
+    feeder.senders.clear();
+    let mut results = Vec::with_capacity(shards);
+    for (shard, handle) in handles.into_iter().enumerate() {
+        let joined = handle
+            .join()
+            .map_err(|_| format!("shard {shard} worker panicked"))?;
+        results.push(joined?);
+    }
+    if let Some(message) = fail {
+        return Err(message);
+    }
+
+    // Merge stripes (disjoint by construction of the shard map).
+    let mut merged: BTreeMap<u32, (StationRecord, f64)> = BTreeMap::new();
+    let mut elapsed_us = base.elapsed_us;
+    let mut latencies_us = Vec::new();
+    for result in results {
+        elapsed_us = elapsed_us.max(result.elapsed_us);
+        latencies_us.extend(result.latencies_us);
+        for (record, statistic) in result.stations {
+            merged.insert(record.station, (record, statistic));
+        }
+    }
+    let mut observations_total = 0u64;
+    let mut flagged_total = 0u64;
+    let verdicts: Vec<StationVerdict> = merged
+        .into_values()
+        .map(|(record, statistic)| {
+            observations_total += record.observations;
+            flagged_total += record.flagged;
+            StationVerdict {
+                station: record.station,
+                statistic,
+                observations: record.observations,
+                flagged: record.flagged,
             }
-        }
-        let mut observations_total = 0u64;
-        let mut flagged_total = 0u64;
-        let verdicts: Vec<StationVerdict> = merged
-            .into_values()
-            .map(|(record, statistic)| {
-                observations_total += record.observations;
-                flagged_total += record.flagged;
-                StationVerdict {
-                    station: record.station,
-                    statistic,
-                    observations: record.observations,
-                    flagged: record.flagged,
-                }
-            })
-            .collect();
-
-        let mut summary = RunSummary::new(
-            config.label.clone(),
-            config.seed,
-            config.config_digest(),
-            elapsed_us,
-        );
-        summary.counters = feeder.counters();
-        summary
-            .counters
-            .insert("live.consumed".to_owned(), consumed);
-        summary
-            .counters
-            .insert("live.observations".to_owned(), observations_total);
-        summary.counters.insert(
-            "live.stations".to_owned(),
-            u64::try_from(verdicts.len()).unwrap_or(u64::MAX),
-        );
-        summary
-            .counters
-            .insert("live.flagged".to_owned(), flagged_total);
-
-        Ok(LiveOutcome {
-            summary,
-            verdicts,
-            checkpoints_written,
-            restored_from,
-            restore_warnings,
-            crashed,
-            drained,
-            latencies_us,
         })
-    });
-    scope_result.map_err(|_| "live engine panicked".to_owned())?
+        .collect();
+
+    let mut summary = RunSummary::new(
+        config.label.clone(),
+        config.seed,
+        config.config_digest(),
+        elapsed_us,
+    );
+    summary.counters = feeder.counters();
+    summary
+        .counters
+        .insert("live.consumed".to_owned(), consumed);
+    summary
+        .counters
+        .insert("live.observations".to_owned(), observations_total);
+    summary.counters.insert(
+        "live.stations".to_owned(),
+        u64::try_from(verdicts.len()).unwrap_or(u64::MAX),
+    );
+    summary
+        .counters
+        .insert("live.flagged".to_owned(), flagged_total);
+
+    Ok(LiveOutcome {
+        summary,
+        verdicts,
+        checkpoints_written,
+        restored_from,
+        restore_warnings,
+        crashed,
+        drained,
+        latencies_us,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::{run, shard_of, LiveConfig, LiveFaults, OverflowPolicy};
+    use crate::channel::{bounded, RecvTimeout};
     use airguard_core::{ObservationSource, SourceError, StationObservation};
     use airguard_obs::{Category, EventSink};
     use std::time::Duration;
@@ -917,6 +939,45 @@ mod tests {
                 Some(Ok(obs)) => Ok(Some(obs)),
                 Some(Err(())) => Err(SourceError::Malformed("injected".into())),
             }
+        }
+    }
+
+    /// A source with a bug: it panics on pull number `at`.
+    #[derive(Debug)]
+    struct PanicsAt {
+        inner: VecSource,
+        pulls: u64,
+        at: u64,
+    }
+
+    impl ObservationSource for PanicsAt {
+        fn next_observation(&mut self) -> Result<Option<StationObservation>, SourceError> {
+            self.pulls += 1;
+            assert!(self.pulls < self.at, "source bug on pull {}", self.pulls);
+            self.inner.next_observation()
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_fails_the_run_without_hanging() {
+        for shards in [1, 2] {
+            let (tx, rx) = bounded(1);
+            let caller = std::thread::spawn(move || {
+                let mut source = PanicsAt {
+                    inner: VecSource::honest(100, 4),
+                    pulls: 0,
+                    at: 10,
+                };
+                let _ = tx.send(run(&LiveConfig::new(shards), &mut source));
+            });
+            match rx.recv_timeout(Duration::from_secs(60)) {
+                RecvTimeout::Item(result) => {
+                    let err = result.expect_err("the source panicked");
+                    assert_eq!(err, "live engine panicked", "at {shards} shards");
+                }
+                other => panic!("run hung or unwound at {shards} shards: {other:?}"),
+            }
+            caller.join().expect("caller thread returned");
         }
     }
 

@@ -1,8 +1,8 @@
 //! A minimal JSON reader for feed records and checkpoints.
 //!
-//! The offline build vendors a no-op `serde`, and the only JSON code in
-//! the workspace is the *writer* in `airguard_obs::JsonObject` — so the
-//! live service brings its own parser. It reads exactly the JSON the
+//! The offline build has no serialization crate, and the only other JSON
+//! code in the workspace is the *writer* in `airguard_obs::JsonObject` —
+//! so the live service brings its own parser. It reads exactly the JSON the
 //! workspace emits (single-line objects with string/number/bool/null
 //! fields, nested objects and arrays) plus standard escapes, and turns
 //! every malformed input into a typed error instead of a panic: a
@@ -31,7 +31,7 @@ pub enum JsonValue {
     /// An array.
     Arr(Vec<JsonValue>),
     /// An object. Key order is not preserved; feed schemas never repeat
-    /// keys, and a repeated key keeps the last value like serde does.
+    /// keys, and a repeated key keeps the last value, as serde_json does.
     Obj(BTreeMap<String, JsonValue>),
 }
 

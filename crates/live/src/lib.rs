@@ -4,8 +4,8 @@
 //! misbehavior inside a closed simulation, this crate runs the same
 //! per-sender detectors ([`airguard_core::DeviationDetector`]) as a
 //! long-lived service over an external observation feed — a replayed
-//! `.events.jsonl` export, a length-prefixed frame file, or a TCP
-//! listener. The service is built around four robustness guarantees:
+//! `.events.jsonl` export or a TCP listener. The service is built
+//! around four robustness guarantees:
 //!
 //! * **Backpressure, never silent loss** — observations route through
 //!   bounded per-shard queues ([`channel`]); a full queue either blocks
@@ -46,4 +46,4 @@ pub use checkpoint::{Checkpoint, StationRecord};
 pub use engine::{
     run, shard_of, LiveConfig, LiveFaults, LiveOutcome, OverflowPolicy, StationVerdict,
 };
-pub use replay::{FrameSource, JsonlSource, SocketSource, SupervisedSource};
+pub use replay::{JsonlSource, SocketSource, SupervisedSource};

@@ -1,6 +1,6 @@
-//! Observation sources: JSONL replay, length-prefixed frame files, a
-//! TCP listener, and the supervising wrapper that re-opens failed
-//! transports with exponential backoff.
+//! Observation sources: JSONL replay, a TCP listener, and the
+//! supervising wrapper that re-opens failed transports with exponential
+//! backoff.
 //!
 //! All sources speak [`ObservationSource`]: `Ok(Some)` is a clean
 //! observation, `Ok(None)` a clean end of stream, `Malformed` a
@@ -27,10 +27,6 @@ use crate::json::{exact_u64, Parser, Token};
 /// protocol caps assignments at `max_assignment` (1023 by default), so
 /// a six-digit slot count on the feed is a flipped byte, not a backoff.
 pub const MAX_SLOTS: f64 = 1_000_000.0;
-
-/// Frames longer than this are rejected before allocation; a feed
-/// record is a single JSON line, far below this bound.
-pub const MAX_FRAME: usize = 65_536;
 
 /// The fields of a feed record the service reads, each holding the
 /// last value its key had: a repeated key keeps the last value, as in
@@ -169,73 +165,6 @@ impl<R: Read + std::fmt::Debug + Send> ObservationSource for JsonlSource<R> {
             match decode_line(&self.line)? {
                 Some(obs) => return Ok(Some(obs)),
                 None => continue, // other telemetry, or a blank line
-            }
-        }
-    }
-}
-
-/// Replays observations from a length-prefixed binary frame file: each
-/// frame is a little-endian `u32` payload length followed by one JSON
-/// record. A corrupt length prefix destroys framing, so the decoder
-/// quarantines the frame and resynchronises by advancing one byte —
-/// progress is guaranteed, and the per-source error budget bounds how
-/// long a shredded file is chewed on.
-#[derive(Debug)]
-pub struct FrameSource {
-    bytes: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameSource {
-    /// Opens a frame file (fully buffered; feeds are replay-sized).
-    pub fn open(path: &std::path::Path) -> Result<Self, SourceError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| SourceError::Transport(format!("open {}: {e}", path.display())))?;
-        Ok(FrameSource { bytes, pos: 0 })
-    }
-
-    /// Builds a frame file image from JSONL record lines.
-    #[must_use]
-    pub fn encode(lines: &[&str]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for line in lines {
-            let len = u32::try_from(line.len()).unwrap_or(u32::MAX);
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(line.as_bytes());
-        }
-        out
-    }
-}
-
-impl ObservationSource for FrameSource {
-    fn next_observation(&mut self) -> Result<Option<StationObservation>, SourceError> {
-        loop {
-            if self.pos >= self.bytes.len() {
-                return Ok(None);
-            }
-            let Some(header) = self.bytes.get(self.pos..self.pos + 4) else {
-                self.pos = self.bytes.len();
-                return Err(SourceError::Malformed("truncated frame header".into()));
-            };
-            let mut len_bytes = [0u8; 4];
-            len_bytes.copy_from_slice(header);
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            if len == 0 || len > MAX_FRAME {
-                // Resync one byte forward; the budget bounds the chew.
-                self.pos += 1;
-                return Err(SourceError::Malformed(format!(
-                    "implausible frame length {len}"
-                )));
-            }
-            let start = self.pos + 4;
-            let Some(payload) = self.bytes.get(start..start + len) else {
-                self.pos = self.bytes.len();
-                return Err(SourceError::Malformed("truncated frame payload".into()));
-            };
-            self.pos = start + len;
-            match decode_line(payload)? {
-                Some(obs) => return Ok(Some(obs)),
-                None => continue,
             }
         }
     }
@@ -439,7 +368,7 @@ impl ObservationSource for SupervisedSource {
 
 #[cfg(test)]
 mod tests {
-    use super::{decode_line, FrameSource, JsonlSource, SupervisedSource, MAX_SLOTS};
+    use super::{decode_line, JsonlSource, SupervisedSource, MAX_SLOTS};
     use crate::json::JsonValue;
     use airguard_core::{ObservationSource, SourceError, StationObservation};
     use airguard_obs::{Category, EventSink};
@@ -867,34 +796,6 @@ mod tests {
             src.next_observation(),
             Err(SourceError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn frame_codec_round_trips_and_resyncs_after_corruption() {
-        let a = record(10, 3, 14.0, 2.0);
-        let b = record(20, 4, 8.0, 8.0);
-        let mut bytes = FrameSource::encode(&[&a]);
-        // A flipped length prefix on the second frame.
-        let mut broken = FrameSource::encode(&[&b]);
-        broken[3] = 0xff;
-        bytes.extend_from_slice(&broken);
-        let mut src = FrameSource { bytes, pos: 0 };
-        assert_eq!(src.next_observation().expect("ok").expect("some").t_us, 10);
-        // The shredded frame produces a bounded run of malformed pulls,
-        // never a panic, and always terminates.
-        let mut malformed = 0;
-        loop {
-            match src.next_observation() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(SourceError::Malformed(_)) => malformed += 1,
-                Err(SourceError::Transport(e)) => {
-                    panic!("unexpected transport error: {e}");
-                }
-            }
-            assert!(malformed < 1000, "resync failed to terminate");
-        }
-        assert!(malformed > 0);
     }
 
     #[test]

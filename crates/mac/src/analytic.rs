@@ -1,10 +1,10 @@
 //! Closed-form timing analysis of a DCF exchange.
 //!
-//! Used two ways: tests cross-validate the simulator against these
-//! expressions (a single saturated sender must hit the analytic
-//! saturation throughput), and the benches report measured/analytic
-//! ratios. The model is exact for one contention-free sender and a
-//! useful reference point everywhere else.
+//! Tests cross-validate the simulator against these expressions (a
+//! single saturated sender must hit the analytic saturation throughput;
+//! see `net/tests/{basic_access,asymmetry}.rs`). The model is exact for
+//! one contention-free sender and a useful reference point everywhere
+//! else.
 
 use airguard_sim::SimDuration;
 

@@ -25,10 +25,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use airguard_obs::{exchange_id, ObsEvent};
-use airguard_sim::trace::Trace;
+use airguard_obs::{exchange_id, EventSink, ObsEvent};
+use airguard_sim::trace::emit;
 use airguard_sim::{NodeId, RngStream, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::drift::ClockDriftState;
 use crate::frames::{ExchangeDurations, Frame, FrameKind, FramePool, FrameRef};
@@ -38,7 +37,7 @@ use crate::timing::{MacTiming, Slots};
 
 /// Timers the MAC can arm. At most one timer per kind is pending; setting
 /// a kind that is already pending replaces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Backoff countdown completion (DIFS + remaining slots).
     Backoff,
@@ -188,7 +187,7 @@ enum SenderState {
 /// [`AccessMode::Basic`] the attempt number rides in the DATA frame and
 /// the receiver measures `B_act` up to the DATA arrival instead of the
 /// RTS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccessMode {
     /// Four-way handshake: RTS → CTS → DATA → ACK.
     #[default]
@@ -198,7 +197,7 @@ pub enum AccessMode {
 }
 
 /// MAC-level configuration knobs beyond the shared timing set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacConfig {
     /// Timing and window parameters.
     pub timing: MacTiming,
@@ -224,7 +223,7 @@ impl Default for MacConfig {
 }
 
 /// Counters exposed for metrics and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MacCounters {
     /// RTS frames transmitted.
     pub rts_sent: u64,
@@ -247,7 +246,7 @@ pub struct Mac<P> {
     cfg: MacConfig,
     policy: P,
     rng: RngStream,
-    trace: Trace,
+    sink: EventSink,
 
     // Channel view.
     phys_busy: bool,
@@ -293,7 +292,7 @@ impl<P: BackoffPolicy> Mac<P> {
             cfg,
             policy,
             rng,
-            trace: Trace::new(),
+            sink: EventSink::new(),
             phys_busy: false,
             nav_until: SimTime::ZERO,
             virtual_busy: false,
@@ -314,9 +313,9 @@ impl<P: BackoffPolicy> Mac<P> {
         }
     }
 
-    /// Attaches a trace sink.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
+    /// Attaches a telemetry sink.
+    pub fn set_trace(&mut self, sink: EventSink) {
+        self.sink = sink;
     }
 
     /// Injects clock drift into this node's diagnosis-path idle-slot
@@ -500,7 +499,8 @@ impl<P: BackoffPolicy> Mac<P> {
                     .policy
                     .fresh_backoff(dst, &self.cfg.timing, &mut self.rng);
                 self.sender = SenderState::Backoff;
-                self.trace.emit(
+                emit(
+                    &self.sink,
                     now,
                     self.id,
                     ObsEvent::BackoffDrawn {
@@ -566,7 +566,7 @@ impl<P: BackoffPolicy> Mac<P> {
                 xid,
             },
         };
-        self.trace.emit(now, self.id, event);
+        emit(&self.sink, now, self.id, event);
         let frame = self.pool.alloc(frame);
         self.on_air = Some(frame.share());
         fx.push(MacEffect::StartTx(frame));
@@ -584,7 +584,8 @@ impl<P: BackoffPolicy> Mac<P> {
     ) {
         let Some(obs) = obs else { return };
         let xid = exchange_id(src.value(), seq);
-        self.trace.emit(
+        emit(
+            &self.sink,
             now,
             self.id,
             ObsEvent::BackoffAssigned {
@@ -595,7 +596,8 @@ impl<P: BackoffPolicy> Mac<P> {
             },
         );
         if obs.penalty_slots > 0.0 {
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::PenaltyAdded {
@@ -623,7 +625,8 @@ impl<P: BackoffPolicy> Mac<P> {
         self.attempt += 1;
         if self.attempt > self.cfg.timing.retry_limit {
             self.counters.retry_drops += 1;
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::PacketDropped {
@@ -643,7 +646,8 @@ impl<P: BackoffPolicy> Mac<P> {
                 self.policy
                     .retry_backoff(pkt.dst, self.attempt, &self.cfg.timing, &mut self.rng);
             self.sender = SenderState::Backoff;
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::Retry {
@@ -708,7 +712,8 @@ impl<P: BackoffPolicy> Mac<P> {
         // if a response is already queued (we can only say one thing at a
         // time).
         if now < self.nav_until || self.pending_response.is_some() {
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::RtsIgnored {
@@ -722,7 +727,8 @@ impl<P: BackoffPolicy> Mac<P> {
             .should_respond_rts(frame.src, frame.seq, frame.attempt, &mut self.rng)
         {
             // Attempt-verification probe (§4.1): pretend the RTS was lost.
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::ProbeDropped {
@@ -787,7 +793,8 @@ impl<P: BackoffPolicy> Mac<P> {
             kind: TimerKind::Response,
             after: self.cfg.timing.sifs,
         });
-        self.trace.emit(
+        emit(
+            &self.sink,
             now,
             self.id,
             ObsEvent::CtsRx {
@@ -827,7 +834,8 @@ impl<P: BackoffPolicy> Mac<P> {
             });
             if let Some(verdict) = self.policy.observe_data(frame.src) {
                 if verdict.flagged {
-                    self.trace.emit(
+                    emit(
+                        &self.sink,
                         now,
                         self.id,
                         ObsEvent::DiagnosisFlagged {
@@ -845,7 +853,8 @@ impl<P: BackoffPolicy> Mac<P> {
         }
         // ACK even duplicates: the sender needs to stop retrying.
         if self.pending_response.is_some() {
-            self.trace.emit(
+            emit(
+                &self.sink,
                 now,
                 self.id,
                 ObsEvent::AckSuppressed {
@@ -893,7 +902,8 @@ impl<P: BackoffPolicy> Mac<P> {
             attempts: self.attempt,
             delay: now.saturating_since(pkt.enqueued_at),
         });
-        self.trace.emit(
+        emit(
+            &self.sink,
             now,
             self.id,
             ObsEvent::AckRx {
@@ -950,8 +960,12 @@ impl<P: BackoffPolicy> Mac<P> {
                 } else {
                     // Extremely rare tie with a response transmission;
                     // retry the access next time the channel goes idle.
-                    self.trace
-                        .emit(now, self.id, ObsEvent::Deferred { response: false });
+                    emit(
+                        &self.sink,
+                        now,
+                        self.id,
+                        ObsEvent::Deferred { response: false },
+                    );
                     self.resume_countdown(now, fx);
                 }
             }
@@ -970,8 +984,12 @@ impl<P: BackoffPolicy> Mac<P> {
             TimerKind::Response => {
                 if let Some(frame) = self.pending_response.take() {
                     if self.on_air.is_some() {
-                        self.trace
-                            .emit(now, self.id, ObsEvent::Deferred { response: true });
+                        emit(
+                            &self.sink,
+                            now,
+                            self.id,
+                            ObsEvent::Deferred { response: true },
+                        );
                     } else {
                         let event = match frame.kind {
                             // CTS/ACK answer the exchange the *peer*
@@ -992,7 +1010,7 @@ impl<P: BackoffPolicy> Mac<P> {
                                 xid: exchange_id(self.id.value(), frame.seq),
                             },
                         };
-                        self.trace.emit(now, self.id, event);
+                        emit(&self.sink, now, self.id, event);
                         self.on_air = Some(frame.share());
                         fx.push(MacEffect::StartTx(frame));
                     }

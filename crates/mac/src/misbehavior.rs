@@ -19,13 +19,12 @@
 //! behaves as an honest receiver, which is the paper's threat model.
 
 use airguard_sim::{NodeId, RngStream};
-use serde::{Deserialize, Serialize};
 
 use crate::policy::{uniform_backoff, BackoffObservation, BackoffPolicy, PacketVerdict};
 use crate::timing::{MacTiming, Slots};
 
 /// A selfish sender strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Selfish {
     /// Fully protocol-compliant (identity decoration).
     None,

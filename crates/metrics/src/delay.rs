@@ -9,10 +9,9 @@
 use std::collections::BTreeMap;
 
 use airguard_sim::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Accumulated delay statistics for one sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayStats {
     /// Acknowledged packets.
     pub packets: u64,
@@ -70,7 +69,7 @@ impl DelayStats {
 /// acc.record(NodeId::new(1), SimDuration::from_millis(6));
 /// assert_eq!(acc.sender(NodeId::new(1)).unwrap().mean_ms(), 5.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DelayAccount {
     senders: BTreeMap<NodeId, DelayStats>,
 }

@@ -26,12 +26,12 @@ use airguard_mac::dcf::MacCounters;
 use airguard_mac::{ClockDriftState, FrameRef, Mac, MacConfig, MacEffect, MacInput, TimerKind};
 use airguard_metrics::{jain_index, DelayAccount, DiagnosisTally, ThroughputAccount, TimeBinned};
 use airguard_obs::{
-    fnv1a_hex, Category, Counter, Histogram, ObsEvent, Phase, PhaseProfiler, Registry, RunSummary,
-    SpanSet,
+    fnv1a_hex, Category, Counter, EventSink, Histogram, ObsEvent, Phase, PhaseProfiler, Registry,
+    RunSummary, SpanSet,
 };
 use airguard_phy::reception::DecodeOutcome;
 use airguard_phy::{Dbm, Fading, ListenerOutcome, Medium, PhyConfig, RxTracker, TransmissionId};
-use airguard_sim::trace::Trace;
+use airguard_sim::trace::emit;
 use airguard_sim::{EventId, MasterSeed, NodeId, Scheduler, SimDuration, SimTime};
 
 use crate::faults::FaultRuntime;
@@ -324,7 +324,7 @@ pub struct Simulation {
     tally: DiagnosisTally,
     series: TimeBinned,
     delays: DelayAccount,
-    trace: Trace,
+    sink: EventSink,
     registry: Registry,
     deviation_hist: Histogram,
     diagnosis_flags: Counter,
@@ -494,7 +494,7 @@ impl Simulation {
             throughput: ThroughputAccount::new(),
             series,
             delays: DelayAccount::new(),
-            trace: Trace::new(),
+            sink: EventSink::new(),
             registry,
             deviation_hist,
             diagnosis_flags,
@@ -512,13 +512,13 @@ impl Simulation {
     /// Attaches a trace sink to the runner and every node (MAC and
     /// reception tracker alike, so PHY collision/decode events land in
     /// the same stream).
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub fn set_trace(&mut self, sink: EventSink) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.mac.set_trace(trace.clone());
+            node.mac.set_trace(sink.clone());
             node.tracker
-                .set_trace(trace.clone(), NodeId::new(self.node_ids[i]));
+                .set_trace(sink.clone(), NodeId::new(self.node_ids[i]));
         }
-        self.trace = trace;
+        self.sink = sink;
     }
 
     /// The run's metrics registry. Callers may register additional
@@ -630,7 +630,7 @@ impl Simulation {
         // histograms are as deterministic as every other metric; runs
         // without an enabled sink skip this and keep the exact summary
         // shape they had before causal tracing existed.
-        let sink = self.trace.sink();
+        let sink = &self.sink;
         if sink.wants(Category::MacTx) && sink.wants(Category::Monitor) {
             // Histograms are named after the deviation detector the
             // monitors ran, so detector sweeps keep their reaction-time
@@ -770,7 +770,8 @@ impl Simulation {
                             self.sched.cancel(id);
                         }
                     }
-                    self.trace.emit(
+                    emit(
+                        &self.sink,
                         now,
                         NodeId::new(self.node_ids[node]),
                         ObsEvent::FaultNodeDown {
@@ -788,7 +789,8 @@ impl Simulation {
                     if self.nodes[node].tracker.is_busy() {
                         self.pending.push_back((node, MacInput::ChannelBusy));
                     }
-                    self.trace.emit(
+                    emit(
+                        &self.sink,
                         now,
                         NodeId::new(self.node_ids[node]),
                         ObsEvent::FaultNodeUp {
@@ -852,7 +854,8 @@ impl Simulation {
                     // traces label them with their global identity.
                     let listener_gid = NodeId::new(self.node_ids[l.listener.index()]);
                     if l.fault_lost {
-                        self.trace.emit(
+                        emit(
+                            &self.sink,
                             now,
                             listener_gid,
                             ObsEvent::FaultFrameLost {
@@ -866,7 +869,8 @@ impl Simulation {
                     let delivered = if l.receivable {
                         match self.faults.corrupt(&frame) {
                             Some((mutated, outcome)) => {
-                                self.trace.emit(
+                                emit(
+                                    &self.sink,
                                     now,
                                     listener_gid,
                                     outcome.event(listener_gid.value()),
@@ -1113,16 +1117,25 @@ mod tests {
     fn churn_emits_down_and_up_events() {
         let topo = single_sender_topology();
         let mut sim = Simulation::new(churn_cfg(9), topo, dot11_policies(2), vec![]);
-        let trace = Trace::enabled();
-        sim.set_trace(trace.clone());
+        let sink = EventSink::enabled();
+        sim.set_trace(sink.clone());
         let _ = sim.run();
-        let faults = trace.events_in("fault");
+        let faults: Vec<ObsEvent> = sink
+            .records()
+            .into_iter()
+            .map(|r| r.event)
+            .filter(|e| e.category() == Category::Fault)
+            .collect();
         assert!(
-            faults.iter().any(|e| e.detail.contains("crashed")),
+            faults
+                .iter()
+                .any(|e| matches!(e, ObsEvent::FaultNodeDown { .. })),
             "missing node-down event in {faults:?}"
         );
         assert!(
-            faults.iter().any(|e| e.detail.contains("restarted")),
+            faults
+                .iter()
+                .any(|e| matches!(e, ObsEvent::FaultNodeUp { .. })),
             "missing node-up event in {faults:?}"
         );
     }

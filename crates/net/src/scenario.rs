@@ -5,7 +5,6 @@ use airguard_fault::FaultPlan;
 use airguard_mac::{AccessMode, MacConfig, Selfish};
 use airguard_obs::{EventSink, PhaseProfiler};
 use airguard_phy::{Fading, PhyConfig};
-use airguard_sim::trace::{Trace, TraceEvent};
 use airguard_sim::{MasterSeed, NodeId, SimDuration};
 use rand::RngExt;
 
@@ -424,20 +423,11 @@ impl ScenarioConfig {
         self.run_internal(budget, Some(profiler), None)
     }
 
-    /// Runs the scenario once with tracing enabled, returning the
-    /// report together with the full event trace. Two runs of the same
-    /// configuration must produce identical traces — the determinism
-    /// regression test digests this.
-    #[must_use]
-    pub fn run_traced(&self) -> (RunReport, Vec<TraceEvent>) {
-        let (report, sink) = self.run_observed();
-        (report, Trace::from_sink(sink).events())
-    }
-
     /// Runs the scenario once with typed telemetry enabled, returning
-    /// the report together with the event sink. The sink's records are
-    /// the structured counterparts of `run_traced`'s strings — export
-    /// them with `airguard_obs::records_to_jsonl`.
+    /// the report together with the event sink. Two runs of the same
+    /// configuration must record identical streams — the determinism
+    /// regression test digests this. Export the records with
+    /// `airguard_obs::records_to_jsonl`.
     #[must_use]
     pub fn run_observed(&self) -> (RunReport, EventSink) {
         self.run_observed_inner(None)
@@ -508,7 +498,7 @@ impl ScenarioConfig {
             let mut sim =
                 Simulation::new(self.simulation_config(), topology, policies, misbehaving);
             if let Some(sink) = sink {
-                sim.set_trace(Trace::from_sink(sink));
+                sim.set_trace(sink);
             }
             if let Some(profiler) = profiler {
                 sim.set_profiler(profiler);

@@ -40,7 +40,6 @@ use airguard_obs::{
     run_tasks, EventSink, Phase, PhaseProfiler, Record, RegistrySnapshot, RunSummary,
 };
 use airguard_phy::{interference_cutoff, TileIndex};
-use airguard_sim::trace::Trace;
 use airguard_sim::NodeId;
 
 use crate::node_policy::NodePolicy;
@@ -261,7 +260,7 @@ fn run_component(
     sim.set_profiler(profiler.clone());
     let sink = (sink_mask != 0).then(|| {
         let sink = EventSink::with_mask(sink_mask);
-        sim.set_trace(Trace::from_sink(sink.clone()));
+        sim.set_trace(sink.clone());
         sink
     });
     let report = sim.run_budgeted(budget)?;

@@ -19,7 +19,7 @@ use airguard_core::CorrectConfig;
 use airguard_fault::{ClockDrift, CrashEvent, FaultPlan};
 use airguard_mac::Selfish;
 use airguard_net::{NodePolicy, Protocol, RunBudget, ScenarioConfig, Simulation, StandardScenario};
-use airguard_sim::trace::TraceEvent;
+use airguard_obs::records_to_jsonl;
 use airguard_sim::{NodeId, SimDuration};
 
 /// A campus scenario small enough for a test, big enough to decompose:
@@ -35,32 +35,26 @@ fn campus(workers: usize) -> ScenarioConfig {
         .shard_workers(workers)
 }
 
-fn render(events: &[TraceEvent]) -> String {
-    events
-        .iter()
-        .map(|e| format!("{} {} {}\n", e.time, e.category, e.detail))
-        .collect()
-}
-
 #[test]
 fn summary_and_trace_are_byte_identical_across_worker_counts() {
-    let (baseline_report, baseline_trace) = campus(1).run_traced();
+    let (baseline_report, baseline_sink) = campus(1).run_observed();
     let baseline_json = baseline_report.summary.to_json();
-    let baseline_rendered = render(&baseline_trace);
+    let baseline_trace = baseline_sink.records();
+    let baseline_rendered = records_to_jsonl(&baseline_trace);
     assert!(
         baseline_report.throughput.total_bytes() > 0,
         "campus clusters must carry traffic"
     );
     assert!(!baseline_trace.is_empty(), "traced run must capture events");
     for workers in [2, 4, 8] {
-        let (report, trace) = campus(workers).run_traced();
+        let (report, sink) = campus(workers).run_observed();
         assert_eq!(
             report.summary.to_json(),
             baseline_json,
             "summary diverged at {workers} workers"
         );
         assert_eq!(
-            render(&trace),
+            records_to_jsonl(&sink.records()),
             baseline_rendered,
             "trace diverged at {workers} workers"
         );

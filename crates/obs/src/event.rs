@@ -7,14 +7,13 @@
 //!
 //! The crate is a dependency leaf, so events speak raw scalars: virtual
 //! time in microseconds (`time_us`) and node ids as dense `u32` indices
-//! (`node`). The `Display` impls render the same human-readable prose
-//! the legacy string trace produced, which keeps log-scraping tests and
-//! examples working unchanged.
+//! (`node`). The `Display` impls render human-readable prose for a
+//! narrated timeline (`examples/trace_exchange.rs` prints one).
 
 use std::fmt;
 
 /// Sentinel node id for records not attributable to a single node
-/// (free-form notes, simulator-level events).
+/// (e.g. the live service's engine-level events).
 pub const NO_NODE: u32 = u32::MAX;
 
 /// Pack an exchange id from the originating sender and its packet
@@ -48,9 +47,15 @@ pub const fn exchange_seq(xid: u64) -> u64 {
 
 /// Event category — one bit in the sink's enable mask.
 ///
-/// `name()` returns the dotted string the legacy trace used for the
-/// same traffic (`"mac.tx"`, `"phy.decode"`, …), so category filters
-/// written against the old API keep matching.
+/// `name()` returns the dotted string (`"mac.tx"`, `"phy.decode"`, …)
+/// that JSONL exports carry as `cat` and category filters match on.
+///
+/// Bit 11 is unused; `Fault` and `Live` keep bits 12 and 13. A mask is a
+/// plain `u32` that callers build from these bits, and the one given to
+/// `ScenarioConfig::observe` enters the cache identity, so renumbering
+/// would change the meaning and digest of a caller's mask that names
+/// `Fault` or `Live`. No observe mask in this workspace does (the only
+/// one, `DETECTION_OBSERVE_MASK`, is `MacTx | Monitor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Category {
@@ -76,8 +81,6 @@ pub enum Category {
     PhyDecode = 9,
     /// Simulator bookkeeping.
     Sim = 10,
-    /// Free-form string notes from the legacy `Trace::record` API.
-    Note = 11,
     /// Injected faults (burst loss, churn, corruption, clock drift).
     Fault = 12,
     /// The live streaming service's robustness decisions (shedding,
@@ -87,7 +90,7 @@ pub enum Category {
 
 impl Category {
     /// All categories, in bit order.
-    pub const ALL: [Category; 14] = [
+    pub const ALL: [Category; 13] = [
         Category::MacTx,
         Category::MacRx,
         Category::MacBackoff,
@@ -99,7 +102,6 @@ impl Category {
         Category::PhyCollision,
         Category::PhyDecode,
         Category::Sim,
-        Category::Note,
         Category::Fault,
         Category::Live,
     ];
@@ -119,7 +121,7 @@ impl Category {
         Category::ALL.into_iter().find(|c| c.name() == name)
     }
 
-    /// The dotted name used by the legacy string trace.
+    /// The dotted name, as written in JSONL `cat` fields.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -134,7 +136,6 @@ impl Category {
             Category::PhyCollision => "phy.collision",
             Category::PhyDecode => "phy.decode",
             Category::Sim => "sim",
-            Category::Note => "note",
             Category::Fault => "fault",
             Category::Live => "live",
         }
@@ -214,8 +215,6 @@ pub enum ObsEvent {
     },
     /// PHY: locked reception completed, cleanly or garbled.
     Decode { tx: u64, clean: bool },
-    /// Free-form note from the legacy `Trace::record` API.
-    Note { category: String, detail: String },
     /// Fault injector: the burst-loss channel dropped a frame that was
     /// otherwise receivable at `listener`.
     FaultFrameLost { listener: u32, tx: u64 },
@@ -287,7 +286,6 @@ impl ObsEvent {
             | ObsEvent::DiagnosisFlagged { .. } => Category::Monitor,
             ObsEvent::Collision { .. } => Category::PhyCollision,
             ObsEvent::Decode { .. } => Category::PhyDecode,
-            ObsEvent::Note { .. } => Category::Note,
             ObsEvent::FaultFrameLost { .. }
             | ObsEvent::FaultCorruptedBackoff { .. }
             | ObsEvent::FaultCorruptedAttempt { .. }
@@ -325,7 +323,6 @@ impl ObsEvent {
             ObsEvent::DiagnosisFlagged { .. } => "diagnosis_flagged",
             ObsEvent::Collision { .. } => "collision",
             ObsEvent::Decode { .. } => "decode",
-            ObsEvent::Note { .. } => "note",
             ObsEvent::FaultFrameLost { .. } => "fault_frame_lost",
             ObsEvent::FaultCorruptedBackoff { .. } => "fault_corrupted_backoff",
             ObsEvent::FaultCorruptedAttempt { .. } => "fault_corrupted_attempt",
@@ -438,7 +435,6 @@ impl fmt::Display for ObsEvent {
                 let outcome = if *clean { "Decoded" } else { "Garbled" };
                 write!(f, "tx#{tx} {outcome}")
             }
-            ObsEvent::Note { detail, .. } => f.write_str(detail),
             ObsEvent::FaultFrameLost { listener, tx } => {
                 write!(f, "fault: tx#{tx} lost in burst noise at n{listener}")
             }
@@ -523,7 +519,13 @@ mod tests {
     }
 
     #[test]
-    fn category_names_match_legacy_trace_strings() {
+    fn fault_and_live_keep_their_bits() {
+        assert_eq!(Category::Fault.bit(), 1 << 12);
+        assert_eq!(Category::Live.bit(), 1 << 13);
+    }
+
+    #[test]
+    fn category_names_are_the_dotted_jsonl_strings() {
         assert_eq!(Category::MacTx.name(), "mac.tx");
         assert_eq!(Category::MacBackoff.name(), "mac.backoff");
         assert_eq!(Category::PhyCollision.name(), "phy.collision");
@@ -543,29 +545,26 @@ mod tests {
 
     #[test]
     fn tx_event_display_names_the_frame_kind() {
-        // tests/protocol_invariants.rs classifies mac.tx details by the
-        // first of Rts/Cts/Data they contain, else Ack; each display
-        // must therefore name exactly its own kind.
+        // The Perfetto export's `args.detail` and the `trace_exchange`
+        // example's timeline print this prose.
         let rts = ObsEvent::RtsTx {
             dst: 2,
             seq: 0,
             attempt: 1,
             xid: 0,
-        }
-        .to_string();
-        assert!(rts.contains("Rts") && !rts.contains("Cts") && !rts.contains("Data"));
-        let cts = ObsEvent::CtsTx { dst: 1, xid: 0 }.to_string();
-        assert!(cts.contains("Cts") && !cts.contains("Rts") && !cts.contains("Data"));
+        };
+        assert_eq!(rts.to_string(), "Rts(seq=0, attempt=1) -> n2");
+        let cts = ObsEvent::CtsTx { dst: 1, xid: 0 };
+        assert_eq!(cts.to_string(), "Cts -> n1");
         let data = ObsEvent::DataTx {
             dst: 2,
             seq: 3,
             attempt: 1,
             xid: 0,
-        }
-        .to_string();
-        assert!(data.contains("Data") && !data.contains("Rts") && !data.contains("Cts"));
-        let ack = ObsEvent::AckTx { dst: 1, xid: 0 }.to_string();
-        assert!(!ack.contains("Rts") && !ack.contains("Cts") && !ack.contains("Data"));
+        };
+        assert_eq!(data.to_string(), "Data(seq=3, attempt=1) -> n2");
+        let ack = ObsEvent::AckTx { dst: 1, xid: 0 };
+        assert_eq!(ack.to_string(), "Ack -> n1");
     }
 
     #[test]
@@ -594,10 +593,6 @@ mod tests {
                 assigned_slots: 10.0,
                 observed_slots: 2.0,
                 xid: 0,
-            },
-            ObsEvent::Note {
-                category: "x".into(),
-                detail: "y".into(),
             },
             ObsEvent::FaultFrameLost { listener: 2, tx: 9 },
             ObsEvent::FaultNodeDown { cold: true },

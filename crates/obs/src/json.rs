@@ -1,9 +1,9 @@
 //! Minimal hand-rolled JSON writer.
 //!
-//! The offline build's `serde` shim expands derives to nothing, so the
-//! exporters serialise by hand. Only what the JSONL/report schema needs
-//! is implemented: objects with string/integer/float/bool/raw fields,
-//! and correct string escaping.
+//! The offline build has no serialization crate, so the exporters
+//! serialise by hand. Only what the JSONL/report schema needs is
+//! implemented: objects with string/integer/float/bool/raw fields, and
+//! correct string escaping.
 
 use std::fmt::Write as _;
 

@@ -104,9 +104,9 @@ mod tests {
             Record {
                 time_us: 99,
                 node: NO_NODE,
-                event: ObsEvent::Note {
-                    category: "sim".into(),
-                    detail: "horizon".into(),
+                event: ObsEvent::LiveCheckpointWritten {
+                    consumed: 99,
+                    stations: 2,
                 },
             },
         ]

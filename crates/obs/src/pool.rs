@@ -19,8 +19,7 @@
 //! an explicit error naming the task and the captured panic payload.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Runs `task` on every item of `tasks` across up to `workers` threads,
 /// returning one result per item in item order. `workers` is clamped to
@@ -43,6 +42,8 @@ where
         return tasks.map(|item| run_one(&task, item)).collect();
     }
 
+    // Both locks recover from poisoning: a worker that dies while
+    // holding one must not wedge the others (its lost slot is reported).
     let queue = Mutex::new(tasks.enumerate());
     let collected: Mutex<Vec<(usize, Result<T, String>)>> = Mutex::new(Vec::with_capacity(count));
     let harness_errors: Vec<String> = std::thread::scope(|scope| {
@@ -51,12 +52,15 @@ where
                 scope.spawn(|| loop {
                     // The queue guard drops with this statement: a task
                     // never runs while holding it.
-                    let claimed = queue.lock().next();
+                    let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                     let Some((i, item)) = claimed else { break };
                     let result = run_one(&task, item);
                     // Publish immediately: a completed task survives even
                     // if this worker thread later dies abnormally.
-                    collected.lock().push((i, result));
+                    collected
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, result));
                 })
             })
             .collect();
@@ -70,7 +74,10 @@ where
             .map(|payload| panic_message(payload.as_ref()))
             .collect()
     });
-    assemble(count, collected.into_inner(), &harness_errors)
+    let collected = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    assemble(count, collected, &harness_errors)
 }
 
 /// Re-assembles out-of-order `(index, result)` pairs into task order,

@@ -10,9 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{Category, ObsEvent, Record};
 
@@ -87,9 +85,15 @@ impl EventSink {
         }
     }
 
+    /// Locks the buffer. A writer that panicked mid-push leaves the
+    /// ring consistent, so poisoning is recovered: one failed exp cell
+    /// must not wedge every later emit.
     fn lock_state(&self) -> MutexGuard<'_, SinkState> {
         self.inner.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.inner.state.lock()
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True when at least one category is enabled.
@@ -276,6 +280,48 @@ mod tests {
         assert_eq!(clone.len(), 1);
         clone.set_enabled(false);
         sink.emit(6, 2, probe());
+        assert_eq!(sink.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_writers_lose_nothing() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<EventSink>();
+        let sink = EventSink::enabled();
+        let (writers, per_writer) = (8u32, 500u64);
+        std::thread::scope(|scope| {
+            for w in 0..writers {
+                let sink = sink.clone();
+                scope.spawn(move || {
+                    for t in 0..per_writer {
+                        sink.emit(t, w, probe());
+                    }
+                });
+            }
+        });
+        let records = sink.records();
+        assert_eq!(records.len() as u64, u64::from(writers) * per_writer);
+        for w in 0..writers {
+            let times: Vec<u64> = records
+                .iter()
+                .filter(|r| r.node == w)
+                .map(|r| r.time_us)
+                .collect();
+            assert_eq!(times, (0..per_writer).collect::<Vec<_>>(), "writer {w}");
+        }
+    }
+
+    #[test]
+    fn a_panic_while_locked_does_not_wedge_the_sink() {
+        let sink = EventSink::enabled();
+        let inner = std::sync::Arc::clone(&sink.inner);
+        let _ = std::thread::spawn(move || {
+            let _guard = inner.state.lock();
+            panic!("poison the sink's lock");
+        })
+        .join();
+        assert!(sink.inner.state.is_poisoned());
+        sink.emit(1, 0, probe());
         assert_eq!(sink.len(), 1);
     }
 

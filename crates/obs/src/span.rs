@@ -464,14 +464,7 @@ mod tests {
     fn events_without_an_xid_are_ignored() {
         let records = vec![
             rec(0, 1, ObsEvent::BackoffDrawn { dst: 2, slots: 9 }),
-            rec(
-                5,
-                1,
-                ObsEvent::Note {
-                    category: "x".into(),
-                    detail: "y".into(),
-                },
-            ),
+            rec(5, 1, ObsEvent::Deferred { response: false }),
         ];
         let set = SpanSet::from_records(&records);
         assert!(set.exchanges.is_empty());

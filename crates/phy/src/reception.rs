@@ -14,7 +14,7 @@
 //! 3. *When did busy/idle edges happen?* — returned from each state
 //!    change, so the MAC can freeze and resume backoff counting.
 
-use airguard_sim::trace::{ObsEvent, Trace};
+use airguard_sim::trace::{emit, EventSink, ObsEvent};
 use airguard_sim::{NodeId, SimTime};
 
 use crate::medium::TransmissionId;
@@ -58,7 +58,7 @@ pub struct RxTracker {
     arrivals: Vec<Arrival>,
     locked: Option<Locked>,
     transmitting: bool,
-    trace: Trace,
+    sink: EventSink,
     node: NodeId,
 }
 
@@ -71,15 +71,15 @@ impl RxTracker {
             arrivals: Vec::new(),
             locked: None,
             transmitting: false,
-            trace: Trace::new(),
+            sink: EventSink::new(),
             node: NodeId::new(0),
         }
     }
 
-    /// Attaches a trace sink; `node` identifies this tracker's owner in
-    /// the typed event stream.
-    pub fn set_trace(&mut self, trace: Trace, node: NodeId) {
-        self.trace = trace;
+    /// Attaches a telemetry sink; `node` identifies this tracker's owner
+    /// in the typed event stream.
+    pub fn set_trace(&mut self, sink: EventSink, node: NodeId) {
+        self.sink = sink;
         self.node = node;
     }
 
@@ -119,7 +119,8 @@ impl RxTracker {
                         // Typed emission: a disabled sink rejects this
                         // with one relaxed load, and the event itself is
                         // three plain integers — no allocation either way.
-                        self.trace.emit(
+                        emit(
+                            &self.sink,
                             now,
                             self.node,
                             ObsEvent::Collision {
@@ -170,7 +171,8 @@ impl RxTracker {
                 };
                 // Every decoded frame passes through here: the typed
                 // event is allocation-free, so no enabled guard needed.
-                self.trace.emit(
+                emit(
+                    &self.sink,
                     now,
                     self.node,
                     ObsEvent::Decode {
@@ -195,7 +197,8 @@ impl RxTracker {
         if let Some(locked) = &mut self.locked {
             if locked.clean {
                 locked.clean = false;
-                self.trace.emit(
+                emit(
+                    &self.sink,
                     now,
                     self.node,
                     ObsEvent::Collision {

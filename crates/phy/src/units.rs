@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute power level in dBm (decibels relative to 1 mW).
 ///
 /// ```
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let after_loss = tx - Db::new(90.0);
 /// assert!((after_loss.value() - -65.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Dbm(f64);
 
 impl Dbm {
@@ -66,7 +64,7 @@ impl fmt::Display for Dbm {
 
 /// A power *ratio* in decibels: the difference of two [`Dbm`] levels, a
 /// path loss, or a capture margin.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Db(f64);
 
 impl Db {
@@ -140,7 +138,7 @@ impl Neg for Db {
 }
 
 /// A distance in meters.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Meters(f64);
 
 impl Meters {
@@ -194,7 +192,7 @@ impl Div<Meters> for Meters {
 /// let b = Position::new(3.0, 4.0);
 /// assert_eq!(a.distance_to(b).value(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// Easting in meters.
     pub x: f64,

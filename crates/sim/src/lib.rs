@@ -18,9 +18,9 @@
 //!   reproducible RNGs from one master seed, keyed by a component label and
 //!   index, so adding a new consumer of randomness never perturbs the
 //!   random sequence observed by existing components.
-//! * **Tracing** — [`trace::Trace`] is a cheap, shareable, structured event
-//!   log used by tests to assert protocol sequences and by the examples to
-//!   narrate a run.
+//! * **Tracing** — [`trace::emit`] records typed events into a shared
+//!   [`trace::EventSink`] at simulator time, which tests read to assert
+//!   protocol sequences and the examples to narrate a run.
 //!
 //! # Example
 //!

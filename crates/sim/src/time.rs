@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant in virtual time, measured in microseconds since the start of
 /// the simulation.
 ///
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 50);
 /// assert_eq!(t - SimTime::from_micros(20), SimDuration::from_micros(30));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -124,9 +120,7 @@ impl Sub<SimTime> for SimTime {
 /// assert_eq!(slot * 3, SimDuration::from_micros(60));
 /// assert_eq!(SimDuration::from_millis(1) / slot, 50);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -1,281 +1,31 @@
-//! A lightweight structured trace bus.
+//! The simulator's typed emit seam into the telemetry sink.
 //!
-//! Traces serve two purposes in this workspace: integration tests assert on
-//! recorded protocol sequences (e.g. "RTS precedes CTS precedes DATA
-//! precedes ACK"), and the examples print a human-readable narration of a
-//! run. The bus is shareable ([`Trace`] is `Clone` + `Send` + `Sync`) so
-//! the medium, every MAC instance, and every monitor can write to the same
-//! log without threading lifetimes through the simulator.
-//!
-//! Since the `airguard-obs` migration this module is a thin compatibility
-//! shim: the log itself is a typed [`EventSink`], and the stringly
-//! [`TraceEvent`] view is reconstructed on demand. Protocol code records
-//! typed [`ObsEvent`]s via [`Trace::emit`]; the legacy
-//! [`Trace::record`] API stores free-form [`ObsEvent::Note`]s. A
-//! disabled trace rejects events with a single relaxed atomic load — no
+//! The runner, every MAC instance and every reception tracker write to
+//! one shared [`EventSink`] (clones share the buffer), so a run yields a
+//! single ordered record stream without threading lifetimes through the
+//! simulator. [`emit`] converts the simulator's [`SimTime`] and
+//! [`NodeId`] into the sink's raw microseconds and dense `u32` index. A
+//! disabled sink rejects an event with one relaxed atomic load — no
 //! allocation, no lock.
 
-use std::fmt;
-
-use airguard_obs::{EventSink, Record, NO_NODE};
-// Re-exported so crates that only talk to the trace bus (e.g. the phy
+// Re-exported so crates that only talk to the simulator (e.g. the phy
 // reception tracker) can emit typed events without their own obs edge.
-pub use airguard_obs::ObsEvent;
+pub use airguard_obs::{EventSink, ObsEvent};
 
 use crate::ident::NodeId;
 use crate::time::SimTime;
 
-/// One recorded trace event, as the legacy string API exposes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time at which the event was recorded.
-    pub time: SimTime,
-    /// Short machine-matchable category, e.g. `"mac.tx"`.
-    pub category: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl TraceEvent {
-    fn from_record(record: Record) -> TraceEvent {
-        let time = SimTime::from_micros(record.time_us);
-        match record.event {
-            ObsEvent::Note { category, detail } => TraceEvent {
-                time,
-                category,
-                detail,
-            },
-            event => TraceEvent {
-                time,
-                category: event.category().name().to_owned(),
-                detail: if record.node == NO_NODE {
-                    event.to_string()
-                } else {
-                    format!("n{}: {event}", record.node)
-                },
-            },
-        }
-    }
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.time, self.category, self.detail)
-    }
-}
-
-/// A shareable, optionally-enabled trace log.
-///
-/// A disabled trace (the default) records nothing; both [`Trace::emit`]
-/// and [`Trace::record`] return after one relaxed atomic mask check,
-/// without allocating or taking the buffer lock.
+/// Records `event` at virtual time `time`, attributed to `node`, if the
+/// sink has the event's category enabled.
 ///
 /// ```
-/// use airguard_sim::trace::Trace;
-/// use airguard_sim::SimTime;
+/// use airguard_sim::trace::{emit, EventSink, ObsEvent};
+/// use airguard_sim::{NodeId, SimTime};
 ///
-/// let trace = Trace::enabled();
-/// trace.record(SimTime::from_micros(10), "mac.tx", "RTS 1->0");
-/// assert_eq!(trace.count("mac.tx"), 1);
-/// assert!(trace.events().iter().any(|e| e.detail.contains("RTS")));
+/// let sink = EventSink::enabled();
+/// emit(&sink, SimTime::from_micros(10), NodeId::new(1), ObsEvent::CtsTx { dst: 2, xid: 0 });
+/// assert_eq!((sink.records()[0].time_us, sink.records()[0].node), (10, 1));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    sink: EventSink,
-}
-
-impl Trace {
-    /// Creates a disabled (no-op) trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Creates an enabled trace that records every event.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Trace {
-            sink: EventSink::enabled(),
-        }
-    }
-
-    /// Wraps an existing sink; records written through either handle
-    /// are visible to both.
-    #[must_use]
-    pub fn from_sink(sink: EventSink) -> Self {
-        Trace { sink }
-    }
-
-    /// The underlying typed sink (shared with this trace).
-    #[must_use]
-    pub fn sink(&self) -> &EventSink {
-        &self.sink
-    }
-
-    /// Turns recording on or off. Already-recorded events are kept.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.sink.set_enabled(enabled);
-    }
-
-    /// Whether events are currently being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_enabled()
-    }
-
-    /// Records a typed event attributed to `node`, if enabled.
-    pub fn emit(&self, time: SimTime, node: NodeId, event: ObsEvent) {
-        self.sink.emit(time.as_micros(), node.value(), event);
-    }
-
-    /// Records a free-form string event if the trace is enabled.
-    ///
-    /// The enabled check happens before the `detail` conversion, so a
-    /// disabled trace performs no allocation here (callers passing
-    /// `format!(..)` arguments still pay for those at the call site;
-    /// hot paths use [`Trace::emit`] with typed events instead).
-    pub fn record(&self, time: SimTime, category: &str, detail: impl Into<String>) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink.emit(
-            time.as_micros(),
-            NO_NODE,
-            ObsEvent::Note {
-                category: category.to_owned(),
-                detail: detail.into(),
-            },
-        );
-    }
-
-    /// A snapshot of all recorded events, in recording order.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.sink
-            .records()
-            .into_iter()
-            .map(TraceEvent::from_record)
-            .collect()
-    }
-
-    /// Events whose category equals `category`.
-    #[must_use]
-    pub fn events_in(&self, category: &str) -> Vec<TraceEvent> {
-        self.events()
-            .into_iter()
-            .filter(|e| e.category == category)
-            .collect()
-    }
-
-    /// Number of recorded events in `category`.
-    #[must_use]
-    pub fn count(&self, category: &str) -> usize {
-        self.events_in(category).len()
-    }
-
-    /// Discards all recorded events (recording state is unchanged).
-    pub fn clear(&self) {
-        self.sink.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let t = Trace::new();
-        assert!(!t.is_enabled());
-        t.record(SimTime::ZERO, "x", "ignored");
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn disabled_trace_takes_no_lock() {
-        let t = Trace::new();
-        let before = t.sink().lock_acquisitions();
-        for i in 0..100 {
-            t.record(SimTime::from_micros(i), "x", "ignored");
-            t.emit(
-                SimTime::from_micros(i),
-                NodeId::new(0),
-                ObsEvent::CtsTx { dst: 1, xid: 0 },
-            );
-        }
-        assert_eq!(
-            t.sink().lock_acquisitions(),
-            before,
-            "disabled trace must not acquire the buffer lock"
-        );
-    }
-
-    #[test]
-    fn enabled_trace_records_in_order() {
-        let t = Trace::enabled();
-        t.record(SimTime::from_micros(1), "a", "one");
-        t.record(SimTime::from_micros(2), "b", "two");
-        let evs = t.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].detail, "one");
-        assert_eq!(evs[1].category, "b");
-    }
-
-    #[test]
-    fn category_filter_and_count() {
-        let t = Trace::enabled();
-        t.record(SimTime::ZERO, "mac.tx", "rts");
-        t.record(SimTime::ZERO, "mac.rx", "cts");
-        t.record(SimTime::ZERO, "mac.tx", "data");
-        assert_eq!(t.count("mac.tx"), 2);
-        assert_eq!(t.events_in("mac.rx").len(), 1);
-    }
-
-    #[test]
-    fn typed_events_share_categories_with_string_notes() {
-        let t = Trace::enabled();
-        t.emit(
-            SimTime::ZERO,
-            NodeId::new(1),
-            ObsEvent::RtsTx {
-                dst: 2,
-                seq: 0,
-                attempt: 1,
-                xid: 0,
-            },
-        );
-        t.record(SimTime::ZERO, "mac.tx", "legacy note");
-        let tx = t.events_in("mac.tx");
-        assert_eq!(tx.len(), 2);
-        assert_eq!(tx[0].detail, "n1: Rts(seq=0, attempt=1) -> n2");
-        assert_eq!(tx[1].detail, "legacy note");
-    }
-
-    #[test]
-    fn clones_share_the_log() {
-        let t = Trace::enabled();
-        let t2 = t.clone();
-        t2.record(SimTime::ZERO, "shared", "x");
-        assert_eq!(t.count("shared"), 1);
-    }
-
-    #[test]
-    fn clear_keeps_enabled_state() {
-        let t = Trace::enabled();
-        t.record(SimTime::ZERO, "a", "x");
-        t.clear();
-        assert!(t.events().is_empty());
-        assert!(t.is_enabled());
-    }
-
-    #[test]
-    fn display_includes_all_fields() {
-        let ev = TraceEvent {
-            time: SimTime::from_micros(5),
-            category: "cat".into(),
-            detail: "det".into(),
-        };
-        let s = format!("{ev}");
-        assert!(s.contains("cat") && s.contains("det"));
-    }
+pub fn emit(sink: &EventSink, time: SimTime, node: NodeId, event: ObsEvent) {
+    sink.emit(time.as_micros(), node.value(), event);
 }

@@ -17,8 +17,7 @@ use airguard::net::topology::Flow;
 use airguard::net::{NodePolicy, Simulation, SimulationConfig, Topology};
 use airguard::obs::{records_to_jsonl, EventSink};
 use airguard::phy::{PhyConfig, Position};
-use airguard::sim::trace::Trace;
-use airguard::sim::{MasterSeed, NodeId, SimDuration};
+use airguard::sim::{MasterSeed, NodeId, SimDuration, SimTime};
 
 fn main() {
     let topology = Topology {
@@ -51,13 +50,14 @@ fn main() {
     };
     let mut sim = Simulation::new(cfg, topology, policies, vec![]);
     let sink = EventSink::enabled();
-    let trace = Trace::from_sink(sink.clone());
-    sim.set_trace(trace.clone());
+    sim.set_trace(sink.clone());
     let report = sim.run();
+    let records = sink.records();
 
     println!("frame-level timeline (first 30 trace events):\n");
-    for ev in trace.events().into_iter().take(30) {
-        println!("  {ev}");
+    for r in records.iter().take(30) {
+        let (time, cat) = (SimTime::from_micros(r.time_us), r.event.category().name());
+        println!("  [{time}] {cat}: n{}: {}", r.node, r.event);
     }
     println!(
         "\ndelivered {} packets in {} ms of virtual time",
@@ -66,7 +66,6 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("AIRGUARD_JSONL") {
-        let records = sink.records();
         std::fs::write(&path, records_to_jsonl(&records)).expect("write JSONL export");
         println!("wrote {} typed events to {path}", records.len());
         println!("run summary: {}", report.summary.to_json());

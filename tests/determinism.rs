@@ -11,23 +11,19 @@ use airguard_net::{
     BurstLoss, ClockDrift, Corruption, CrashEvent, FaultPlan, Protocol, ScenarioConfig,
     StandardScenario,
 };
-use airguard_sim::trace::TraceEvent;
+use airguard_obs::{record_to_json, Record};
 use airguard_sim::SimDuration;
 
-/// FNV-1a over every event's time, category, and detail.
-fn digest(events: &[TraceEvent]) -> u64 {
+/// FNV-1a over every record's JSONL line: time, node, category, kind
+/// and every field, exchange ids included. A local copy, so a change to
+/// the shared hash cannot mask a change to the stream.
+fn digest(records: &[Record]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
+    for record in records {
+        for &b in record_to_json(record).as_bytes().iter().chain(b"\n") {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    for e in events {
-        eat(e.time.as_micros().to_le_bytes().as_slice());
-        eat(e.category.as_bytes());
-        eat(e.detail.as_bytes());
-        eat(b"\n");
     }
     h
 }
@@ -44,8 +40,9 @@ fn scenario(seed: u64) -> ScenarioConfig {
 #[test]
 fn same_seed_replays_to_identical_trace_digest() {
     let cfg = scenario(42);
-    let (r1, t1) = cfg.run_traced();
-    let (r2, t2) = cfg.run_traced();
+    let (r1, s1) = cfg.run_observed();
+    let (r2, s2) = cfg.run_observed();
+    let (t1, t2) = (s1.records(), s2.records());
 
     assert!(!t1.is_empty(), "traced run recorded no events");
     assert_eq!(t1.len(), t2.len(), "trace lengths diverged");
@@ -185,7 +182,11 @@ fn every_fault_injector_combination_replays_byte_identically() {
 fn different_seeds_diverge() {
     // Sanity check that the digest actually discriminates: two seeds
     // giving identical traces would mean the seed is ignored.
-    let (_, t1) = scenario(1).run_traced();
-    let (_, t2) = scenario(2).run_traced();
-    assert_ne!(digest(&t1), digest(&t2), "seed does not influence the run");
+    let (_, s1) = scenario(1).run_observed();
+    let (_, s2) = scenario(2).run_observed();
+    assert_ne!(
+        digest(&s1.records()),
+        digest(&s2.records()),
+        "seed does not influence the run"
+    );
 }

@@ -1,13 +1,13 @@
-//! Protocol-level invariants checked through the trace bus and the
-//! full simulator: frame ordering, conservation, duplicate handling,
+//! Protocol-level invariants checked through the typed event stream and
+//! the full simulator: frame ordering, conservation, duplicate handling,
 //! retry accounting.
 
 use airguard::core::CorrectConfig;
 use airguard::mac::Selfish;
 use airguard::net::topology::Flow;
 use airguard::net::{NodePolicy, Simulation, SimulationConfig, Topology};
+use airguard::obs::{EventSink, ObsEvent, Record};
 use airguard::phy::{PhyConfig, Position};
-use airguard::sim::trace::Trace;
 use airguard::sim::{MasterSeed, NodeId, SimDuration};
 
 fn two_node_topology() -> Topology {
@@ -35,7 +35,7 @@ fn correct_policies(n: u32) -> Vec<NodePolicy> {
         .collect()
 }
 
-fn traced_run(secs: u64) -> (Trace, airguard::net::RunReport) {
+fn traced_run(secs: u64) -> (Vec<Record>, airguard::net::RunReport) {
     let cfg = SimulationConfig {
         phy: PhyConfig::deterministic(),
         horizon: SimDuration::from_secs(secs),
@@ -43,27 +43,32 @@ fn traced_run(secs: u64) -> (Trace, airguard::net::RunReport) {
         ..SimulationConfig::default()
     };
     let mut sim = Simulation::new(cfg, two_node_topology(), correct_policies(2), vec![]);
-    let trace = Trace::enabled();
-    sim.set_trace(trace.clone());
+    let sink = EventSink::enabled();
+    sim.set_trace(sink.clone());
     let report = sim.run();
-    (trace, report)
+    (sink.records(), report)
+}
+
+/// The frame kind of a transmitted-frame event, `None` for any other.
+fn tx_kind(event: &ObsEvent) -> Option<&'static str> {
+    match event {
+        ObsEvent::RtsTx { .. } => Some("Rts"),
+        ObsEvent::CtsTx { .. } => Some("Cts"),
+        ObsEvent::DataTx { .. } => Some("Data"),
+        ObsEvent::AckTx { .. } => Some("Ack"),
+        _ => None,
+    }
 }
 
 #[test]
 fn exchange_order_is_rts_cts_data_ack() {
-    let (trace, _) = traced_run(1);
+    let (records, _) = traced_run(1);
     // Reconstruct the global frame order from the trace and verify each
     // sender exchange appears in canonical sequence.
     let mut last = "Ack";
-    for ev in trace.events_in("mac.tx") {
-        let kind = if ev.detail.contains("Rts") {
-            "Rts"
-        } else if ev.detail.contains("Cts") {
-            "Cts"
-        } else if ev.detail.contains("Data") {
-            "Data"
-        } else {
-            "Ack"
+    for record in &records {
+        let Some(kind) = tx_kind(&record.event) else {
+            continue;
         };
         let expected_prev = match kind {
             "Rts" => "Ack",
@@ -74,7 +79,7 @@ fn exchange_order_is_rts_cts_data_ack() {
         assert_eq!(
             last, expected_prev,
             "frame {kind} followed {last}: {}",
-            ev.detail
+            record.event
         );
         last = kind;
     }
@@ -107,11 +112,10 @@ fn clean_channel_never_times_out() {
 
 #[test]
 fn rts_count_matches_exchange_count_on_clean_channel() {
-    let (trace, report) = traced_run(1);
-    let rts: usize = trace
-        .events_in("mac.tx")
+    let (records, report) = traced_run(1);
+    let rts = records
         .iter()
-        .filter(|e| e.detail.contains("Rts"))
+        .filter(|r| tx_kind(&r.event) == Some("Rts"))
         .count();
     let delivered = report
         .throughput
